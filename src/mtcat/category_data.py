@@ -247,8 +247,8 @@ def triangle_residual(data: CategoryData) -> float:
         nr = block.shape[0] * block.shape[1]
         nc = block.shape[2] * block.shape[3]
         dev = np.abs(block.reshape(nr, nc) - np.eye(nr, nc)).max()
-        worst = max(worst, float(dev))
-    return worst
+        worst = np.maximum(worst, dev)  # unlike max(), keeps a NaN
+    return float(worst)
 
 
 def pentagon_residual(data: CategoryData) -> tuple[float, tuple]:
@@ -259,159 +259,8 @@ def pentagon_residual(data: CategoryData) -> tuple[float, tuple]:
     q the (c,d) channel, p the (b,q) channel, r the (a,b) channel, s the
     (r,c) channel.  Ties resolve to the lexicographically smallest tuple.
     """
-    if data.ring.is_multiplicity_free():
-        return _pentagon_residual_fast(data)
-    return _pentagon_residual_general(data)
-
-
-def _pentagon_residual_general(data: CategoryData) -> tuple[float, tuple]:
-    ring = data.ring
-    N = ring.N
-    m = ring.size
-    worst = 0.0
-    worst_tuple = ()
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                for d in range(m):
-                    for w in range(m):
-                        res, tup = _pentagon_group(data, N, m, a, b, c, d, w)
-                        if res > worst:
-                            worst, worst_tuple = res, tup
-    return worst, worst_tuple
-
-
-def _pentagon_group(data: CategoryData, N, m, a, b, c, d, w):
-    """One (a,b,c,d,w) family of pentagon instances, blockwise."""
-    worst = 0.0
-    worst_tuple = ()
-    for q in range(m):
-        if not N[c, d, q]:
-            continue
-        for p in range(m):
-            if not (N[b, q, p] and N[a, p, w]):
-                continue
-            for r in range(m):
-                if not N[a, b, r]:
-                    continue
-                for s in range(m):
-                    if not (N[r, c, s] and N[s, d, w]):
-                        continue
-                    if N[r, q, w]:
-                        B1 = data.f_block(a, b, q, w, p, r)  # (j, i, g, x)
-                        B2 = data.f_block(r, c, d, w, q, s)  # (m, x, s, t)
-                        lhs = np.einsum("jigx,mxst->mjigst", B1, B2)
-                    else:
-                        lhs = None  # empty sum over the (r,q) channel
-                    rhs = None
-                    for t in range(m):
-                        if not (N[b, c, t] and N[t, d, p] and N[a, t, s]):
-                            continue
-                        A = data.f_block(b, c, d, p, q, t)  # (m, j, l, k)
-                        B = data.f_block(a, t, d, w, p, s)  # (k, i, u, t)
-                        C = data.f_block(a, b, c, s, t, r)  # (l, u, g, s)
-                        term = np.einsum("mjlk,kiut,lugs->mjigst", A, B, C)
-                        rhs = term if rhs is None else rhs + term
-                    if lhs is None and rhs is None:
-                        continue
-                    if lhs is None:
-                        diff = np.abs(rhs).max()
-                    elif rhs is None:
-                        diff = np.abs(lhs).max()
-                    else:
-                        diff = np.abs(lhs - rhs).max()
-                    if diff > worst:
-                        worst = float(diff)
-                        worst_tuple = (a, b, c, d, w, q, p, r, s)
-    return worst, worst_tuple
-
-
-def _pentagon_plan(ring: FusionRing) -> np.ndarray:
-    """Admissible multiplicity-free pentagon instances as an index table.
-
-    Columns: a b c d w q p r s.  Cached on the ring: gauge transforms and
-    entry perturbations share the ring object, so repeated evaluations reuse
-    the plan.
-    """
-    if ring._pentagon_plan is not None:
-        return ring._pentagon_plan
-    N = ring.N > 0
-    m = ring.size
-    idx = np.arange(m)
-    c_, d_, w_, q_, p_, r_, s_ = np.meshgrid(*([idx] * 7), indexing="ij", sparse=True)
-    rows = []
-    for a in range(m):
-        for b in range(m):
-            mask = (
-                N[c_, d_, q_]
-                & N[b, q_, p_]
-                & N[a, p_, w_]
-                & N[a, b, r_]
-                & N[r_, c_, s_]
-                & N[s_, d_, w_]
-            )
-            hits = np.argwhere(mask)  # columns: c d w q p r s (lex order)
-            if hits.size:
-                ab = np.broadcast_to(np.array([a, b]), (hits.shape[0], 2))
-                rows.append(np.hstack([ab, hits]))
-    plan = np.vstack(rows) if rows else np.empty((0, 9), dtype=int)
-    ring._pentagon_plan = plan
-    return plan
-
-
-def _dense_f6(data: CategoryData) -> np.ndarray:
-    """Multiplicity-free F symbols as one dense (m,)*6 array."""
-    m = data.ring.size
-    F6 = np.zeros((m,) * 6, dtype=complex)
-    for key in admissible_f_keys(data.ring):
-        block = data.F.get(key)
-        if block is None:
-            raise IncompleteData(key, kind="F")
-        F6[key] = block.reshape(())
-    return F6
-
-
-def _dense_r3(data: CategoryData) -> np.ndarray:
-    m = data.ring.size
-    R3 = np.zeros((m,) * 3, dtype=complex)
-    for key in admissible_r_keys(data.ring):
-        block = data.R.get(key)
-        if block is None:
-            raise IncompleteData(key, kind="R")
-        R3[key] = block.reshape(())
-    return R3
-
-
-def _pentagon_residual_fast(data: CategoryData) -> tuple[float, tuple]:
-    plan = _pentagon_plan(data.ring)
-    if plan.shape[0] == 0:
-        return 0.0, ()
-    m = data.ring.size
-    flat = _dense_f6(data).reshape(-1)
-    a, b, c, d, w, q, p, r, s = plan.T
-    lhs = flat[_ravel6(m, a, b, q, w, p, r)] * flat[_ravel6(m, r, c, d, w, q, s)]
-    rhs = np.zeros_like(lhs)
-    N = data.ring.N
-    for t in range(m):
-        ok = (N[b, c, t] > 0) & (N[t, d, p] > 0) & (N[a, t, s] > 0)
-        if not ok.any():
-            continue
-        sel = np.nonzero(ok)[0]
-        rhs[sel] += (
-            flat[_ravel6(m, b[sel], c[sel], d[sel], p[sel], q[sel], t)]
-            * flat[_ravel6(m, a[sel], t, d[sel], w[sel], p[sel], s[sel])]
-            * flat[_ravel6(m, a[sel], b[sel], c[sel], s[sel], t, r[sel])]
-        )
-    resid = np.abs(lhs - rhs)
-    k = int(np.argmax(resid))
-    return float(resid[k]), tuple(int(x) for x in plan[k])
-
-
-def _ravel6(m, *idx):
-    out = np.asarray(idx[0])
-    for nxt in idx[1:]:
-        out = out * m + np.asarray(nxt)
-    return out
+    lay, chunks = _coherence_tables(data.ring, "pentagon")
+    return _worst_instance(chunks, _values(data, lay))
 
 
 def hexagon_residual(data: CategoryData, direction: str = "braid") -> tuple[float, tuple]:
@@ -424,77 +273,211 @@ def hexagon_residual(data: CategoryData, direction: str = "braid") -> tuple[floa
     """
     if direction not in ("braid", "inverse_braid"):
         raise InputError(f"unknown hexagon direction {direction!r}")
-    if data.ring.is_multiplicity_free():
-        return _hexagon_residual_fast(data, direction)
-    return _hexagon_residual_general(data, direction)
+    lay, chunks = _coherence_tables(data.ring, "hexagon")
+    return _worst_instance(chunks, _values(data, lay, direction))
 
 
-def _r_entry(data: CategoryData, direction: str, x, y, z) -> np.ndarray:
+# One engine evaluates both identities.  An identity is a table of instances
+# (label tuples with one basis vector per vertex, in lexicographic order of the
+# labels) and two term tables; a term is a product of entries of one flat value
+# array, summed into its instance, and the residual of an instance is
+# |sum lhs - sum rhs|.  Columns are named by one letter per label and three per
+# vertex ("cdq" is the basis vector of vertex (c,d,q)); factors that share a
+# vertex contract over it.  The tables depend only on the ring and are built
+# one leading label at a time, so cost and memory follow the instance count.
+
+
+def _coherence_tables(ring: FusionRing, identity: str) -> tuple:
+    """The value layout and the instance tables of one identity, cached on the ring.
+
+    Gauge transforms and perturbed copies share the ring object, so repeated
+    evaluations reuse the tables.
+    """
+    cache = ring._coherence_tables
+    if "layout" not in cache:
+        cache["layout"] = _Layout(ring.N)
+    if identity not in cache:
+        build = _pentagon_chunk if identity == "pentagon" else _hexagon_chunk
+        chunks = (build(ring.N, cache["layout"], a) for a in range(ring.size))
+        cache[identity] = [chunk for chunk in chunks if len(chunk[0])]
+    return cache["layout"], cache[identity]
+
+
+class _Layout:
+    """Offsets into the value array of ``_values``: F blocks, then R blocks.
+
+    Blocks follow admissible-key order and are C-ordered inside, so an offset
+    is arithmetic on the ring.  Arrays are indexed by raveled label tuples.
+    """
+
+    def __init__(self, N: np.ndarray):
+        self.m, self.N = len(N), N.ravel()
+        rows = np.einsum("bce,aed->abcde", N, N)  # right-tree slots per channel e
+        cols = np.einsum("abf,fcd->abcdf", N, N)  # left-tree slots per channel f
+        ncols = cols.sum(axis=-1, keepdims=True)
+        size = rows.sum(axis=-1, keepdims=True) * ncols
+        # first entry of the blocks (a,b,c,d;e,*): all rows of lower e precede them
+        band = np.cumsum(size).reshape(size.shape) - size + (np.cumsum(rows, -1) - rows) * ncols
+        self.band, self.rows, self.cols = band.ravel(), rows.ravel(), cols.ravel()
+        self.col_start = (np.cumsum(cols, axis=-1) - cols).ravel()
+        r_size = (N * N.transpose(1, 0, 2)).ravel()
+        self.f_size = int(size.sum())
+        self.r_start = np.cumsum(r_size) - r_size + self.f_size
+        self.size = self.f_size + int(r_size.sum())
+
+    def f(self, t: dict, key: str) -> np.ndarray:
+        """Offset of the F[key] entry of every row; key names six label columns."""
+        a, b, c, d, e, f = key
+        al, be, ga, de = (t[v] for v in (b + c + e, a + e + d, a + b + f, f + c + d))
+        a, b, c, d, e, f = (t[x].astype(np.intp) for x in key)
+        m, N = self.m, self.N
+        abcd = ((a * m + b) * m + c) * m + d
+        row_band, col_band = abcd * m + e, abcd * m + f
+        return (
+            self.band[row_band]
+            + self.rows[row_band] * self.col_start[col_band]
+            + (al * N[(a * m + e) * m + d] + be) * self.cols[col_band]
+            + ga * N[(f * m + c) * m + d]
+            + de
+        )
+
+    def r(self, t: dict, key: str) -> np.ndarray:
+        """Offset of the R[key] entry of every row; key names three label columns."""
+        x, y, z = key
+        al, be = t[x + y + z], t[y + x + z]
+        x, y, z = (t[v].astype(np.intp) for v in key)
+        m = self.m
+        return self.r_start[(x * m + y) * m + z] + al * self.N[(y * m + x) * m + z] + be
+
+
+def _pentagon_chunk(N: np.ndarray, lay: _Layout, a: int) -> tuple:
+    """Pentagon instances with leading label a.
+
+    lhs: F[a,b,q,w;p,r] F[r,c,d,w;q,s]; rhs: the sum over t of
+    F[b,c,d,p;q,t] F[a,t,d,w;p,s] F[a,b,c,s;t,r].
+    """
+    E = N > 0
+    into = E.transpose(1, 2, 0)  # into[x, y] marks the z with N[z, x, y] > 0
+    t = _grid(N, a, "bcdw")
+    t = _labels(t, "q", E[t["c"], t["d"]])
+    t = _labels(t, "p", E[t["b"], t["q"]] & E[t["a"], :, t["w"]])
+    t = _labels(t, "r", E[t["a"], t["b"]])
+    t = _labels(t, "s", E[t["r"], t["c"]] & into[t["d"], t["w"]])
+    t = _vectors(N, t, "cdq", "bqp", "apw", "abr", "rcs", "sdw")
+    t["instance"] = np.arange(len(t["a"]))
+    lhs = _vectors(N, t, "rqw")
+    rhs = _labels(t, "t", E[t["b"], t["c"]] & into[t["d"], t["p"]] & E[t["a"], :, t["s"]])
+    rhs = _vectors(N, rhs, "bct", "tdp", "ats")
+    return (
+        np.stack([t[x] for x in "abcdwqprs"], axis=1),
+        _terms(lhs, lay.f(lhs, "abqwpr"), lay.f(lhs, "rcdwqs")),
+        _terms(rhs, lay.f(rhs, "bcdpqt"), lay.f(rhs, "atdwps"), lay.f(rhs, "abcstr")),
+    )
+
+
+def _hexagon_chunk(N: np.ndarray, lay: _Layout, a: int) -> tuple:
+    """Hexagon instances with leading label a.
+
+    lhs: the sum over h of F[b,c,a,d;g,h] R[a,h,d] F[a,b,c,d;h,f];
+    rhs: R[a,c,g] F[b,a,c,d;g,f] R[a,b,f].
+    """
+    E = N > 0
+    into = E.transpose(1, 2, 0)
+    t = _grid(N, a, "bcd")
+    t = _labels(t, "g", E[t["c"], t["a"]] & E[t["b"], :, t["d"]])
+    t = _labels(t, "f", E[t["a"], t["b"]] & into[t["c"], t["d"]])
+    t = _vectors(N, t, "cag", "bgd", "abf", "fcd")
+    t["instance"] = np.arange(len(t["a"]))
+    lhs = _labels(t, "h", E[t["b"], t["c"]] & into[t["a"], t["d"]] & E[t["a"], :, t["d"]])
+    lhs = _vectors(N, lhs, "bch", "had", "ahd")
+    rhs = _vectors(N, t, "acg", "baf")
+    return (
+        np.stack([t[x] for x in "abcdgf"], axis=1),
+        _terms(lhs, lay.f(lhs, "bcadgh"), lay.r(lhs, "ahd"), lay.f(lhs, "abcdhf")),
+        _terms(rhs, lay.r(rhs, "acg"), lay.f(rhs, "bacdgf"), lay.r(rhs, "abf")),
+    )
+
+
+def _grid(N: np.ndarray, a: int, labels: str) -> dict:
+    """Label a followed by every tuple of the named labels, in lexicographic order."""
+    small = np.min_scalar_type(len(N))
+    grid = np.indices((len(N),) * len(labels), dtype=small).reshape(len(labels), -1)
+    return dict(zip(labels, grid), a=np.full(grid.shape[1], a, dtype=small))
+
+
+def _labels(t: dict, name: str, allowed: np.ndarray) -> dict:
+    """Extend every row by each label its row of ``allowed`` marks, in increasing order."""
+    row, label = np.nonzero(allowed)
+    return _grow(t, row, {name: label})
+
+
+def _vectors(N: np.ndarray, t: dict, *vertices: str) -> dict:
+    """Extend every row by each choice of basis vector at the named vertices."""
+    sizes = [N[t[x], t[y], t[z]] for x, y, z in vertices]
+    count = np.prod(sizes, axis=0)
+    row = np.repeat(np.arange(count.size), count)
+    pos = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+    new = {}
+    for vertex, size in reversed(list(zip(vertices, sizes))):
+        size = size[row]
+        new[vertex] = pos % size
+        pos = pos // size
+    return _grow(t, row, new)
+
+
+def _grow(t: dict, row: np.ndarray, new: dict) -> dict:
+    """Rows ``row`` of ``t`` plus the ``new`` columns, each in the smallest type that fits."""
+    out = {name: col[row] for name, col in t.items()}
+    for name, col in new.items():
+        out[name] = col.astype(np.min_scalar_type(col.max(initial=0)))
+    return out
+
+
+def _terms(t: dict, *offsets: np.ndarray) -> np.ndarray:
+    """Rows: the instance of each term, then one value offset per factor."""
+    return np.stack([t["instance"], *offsets]).astype(np.int32)
+
+
+def _values(data: CategoryData, lay: _Layout, direction: str | None = None) -> np.ndarray:
+    """F entries, then R entries for ``direction``, flat in ``_Layout`` order."""
+    ring = data.ring
+    blocks = [data.f_block(*key) for key in admissible_f_keys(ring)]
     if direction == "braid":
-        return data.r_block(x, y, z)
-    return np.linalg.inv(data.r_block(y, x, z))
+        blocks += [data.r_block(*key) for key in admissible_r_keys(ring)]
+    elif direction == "inverse_braid":
+        blocks += [_inverse(data.r_block(y, x, z)) for x, y, z in admissible_r_keys(ring)]
+    vals = np.concatenate([np.ravel(b) for b in blocks]).astype(complex, copy=False)
+    if vals.size != (lay.f_size if direction is None else lay.size):
+        raise InputError("F/R blocks do not have their admissible shapes")
+    return vals
 
 
-def _hexagon_residual_fast(data: CategoryData, direction: str) -> tuple[float, tuple]:
-    ring = data.ring
-    N = (ring.N > 0).astype(np.int8)
-    F6 = _dense_f6(data)
-    R3 = _dense_r3(data)
-    if direction == "inverse_braid":
-        Rt = R3.transpose(1, 0, 2)
-        R = np.divide(1.0, Rt, out=np.zeros_like(Rt), where=Rt != 0)
-    else:
-        R = R3
-    lhs = np.einsum("bcadgh,ahd,abcdhf->abcdgf", F6, R, F6, optimize=True)
-    rhs = np.einsum("acg,bacdgf,abf->abcdgf", R, F6, R, optimize=True)
-    mask = np.einsum("cag,bgd,abf,fcd->abcdgf", N, N, N, N, optimize=True) > 0
-    resid = np.where(mask, np.abs(lhs - rhs), 0.0)
-    k = np.unravel_index(int(np.argmax(resid)), resid.shape)
-    return float(resid[k]), tuple(int(x) for x in k)
+def _inverse(block: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(block)
+    except np.linalg.LinAlgError:
+        return np.full(block.shape, np.nan, dtype=complex)  # no inverse braiding
 
 
-def _hexagon_residual_general(data: CategoryData, direction: str) -> tuple[float, tuple]:
-    ring = data.ring
-    N = ring.N
-    m = ring.size
-    worst = 0.0
-    worst_tuple = ()
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                for d in range(m):
-                    gs = [g for g in range(m) if N[c, a, g] and N[b, g, d]]
-                    fs = [f for f in range(m) if N[a, b, f] and N[f, c, d]]
-                    for g in gs:
-                        for f in fs:
-                            lhs = None
-                            for h in range(m):
-                                if not (N[b, c, h] and N[h, a, d] and N[a, h, d]):
-                                    continue
-                                B1 = data.f_block(b, c, a, d, g, h)  # (p, t, s, k)
-                                Rah = _r_entry(data, direction, a, h, d)  # (b, k)
-                                B2 = data.f_block(a, b, c, d, h, f)  # (s, b, g, d)
-                                term = np.einsum("ptsk,bk,sbgd->ptgd", B1, Rah, B2)
-                                lhs = term if lhs is None else lhs + term
-                            if not (N[a, c, g] and N[b, a, f]):
-                                rhs = None
-                            else:
-                                Racg = _r_entry(data, direction, a, c, g)  # (l, p)
-                                B3 = data.f_block(b, a, c, d, g, f)  # (l, t, m, d)
-                                Rabf = _r_entry(data, direction, a, b, f)  # (g, m)
-                                rhs = np.einsum("lp,ltmd,gm->ptgd", Racg, B3, Rabf)
-                            if lhs is None and rhs is None:
-                                continue
-                            if lhs is None:
-                                diff = np.abs(rhs).max()
-                            elif rhs is None:
-                                diff = np.abs(lhs).max()
-                            else:
-                                diff = np.abs(lhs - rhs).max()
-                            if diff > worst:
-                                worst = float(diff)
-                                worst_tuple = (a, b, c, d, g, f)
-    return worst, worst_tuple
+def _sum(vals: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
+    instance, *offsets = terms
+    product = vals[offsets[0]]
+    for offset in offsets[1:]:
+        product = product * vals[offset]
+    return np.bincount(instance, product.real, n) + 1j * np.bincount(instance, product.imag, n)
+
+
+def _worst_instance(chunks: list, vals: np.ndarray) -> tuple[float, tuple]:
+    """Largest residual and the first instance reaching it; a NaN always wins."""
+    tops = []
+    for witnesses, lhs, rhs in chunks:
+        n = len(witnesses)
+        residual = np.abs(_sum(vals, lhs, n) - _sum(vals, rhs, n))
+        k = int(np.argmax(residual))
+        tops.append((float(residual[k]), tuple(int(x) for x in witnesses[k])))
+    if not tops:
+        return 0.0, ()
+    return tops[int(np.argmax([res for res, _ in tops]))]
 
 
 # ---------------------------------------------------------------------------

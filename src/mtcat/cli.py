@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .catalog import CatalogSpec, generate
+from .catalog import FAMILIES, CatalogSpec, generate
 from .category_data import gauge_transform, random_gauge, validate_symbols
 from .errors import MtcatError, ParseError, SchemaError, ValidationError
 from .fusion_ring import fp_dimensions, validate_ring, verlinde_coefficients
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = sub.add_parser("gen", help="generate a built-in category")
-    p.add_argument("family", choices=("trivial", "pointed_zn", "fibonacci", "ising", "su2_level"))
+    p.add_argument("family", choices=FAMILIES)
     p.add_argument("--level", type=int, help="level k for su2_level")
     p.add_argument("--n", type=int, help="group order for pointed_zn")
     p.add_argument("--q", type=int, help="quadratic form exponent for pointed_zn")

@@ -24,18 +24,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from decimal import Decimal
 
 import numpy as np
 
 from . import __version__
 from .category_data import (
     CategoryData,
+    coherence_summary,
     f_block_shape,
     f_inverse_unit_check,
-    hexagon_residual,
-    pentagon_residual,
     rigidity_scalar,
-    triangle_residual,
     validate_symbols,
 )
 from .errors import (
@@ -129,7 +129,8 @@ def load(path) -> CategoryData:
 
 def loads(text: str) -> CategoryData:
     try:
-        doc = json.loads(text)
+        # JSON has no NaN or Infinity: parse them to Decimal, which no field accepts
+        doc = json.loads(text, parse_constant=Decimal)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     return category_from_dict(doc)
@@ -234,15 +235,15 @@ def category_from_dict(doc) -> CategoryData:
             raise SchemaError("weights must cover every label when present")
 
     central = doc.get("central_charge")
-    if central is not None and not isinstance(central, (int, float)):
-        raise SchemaError("central_charge must be a number")
+    if central is not None:
+        central = _as_number(central, "central_charge")
 
     data = CategoryData(
         ring=ring,
         F=F,
         R=R,
         weights=weights,
-        central_charge=None if central is None else float(central),
+        central_charge=central,
         name=str(doc.get("name", "")),
     )
     problems = validate_symbols(data)
@@ -267,8 +268,8 @@ def _as_int(x, where):
 
 
 def _as_number(x, where):
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise SchemaError(f"{where}: expected number, got {x!r}")
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+        raise SchemaError(f"{where}: expected a finite number, got {x!r}")
     return float(x)
 
 
@@ -303,7 +304,7 @@ def run_report(data: CategoryData, checks=None, tolerance: float = 1e-9) -> dict
         if c not in CHECK_NAMES:
             raise InputError(f"unknown check {c!r}; known: {', '.join(CHECK_NAMES)}")
 
-    rep = check_modular(data)
+    rep = check_modular(data)  # computes every residual the checks report
     entries = {}
     for c in checks:
         entries[c] = _one_check(data, rep, c, tolerance)
@@ -349,26 +350,25 @@ def run_report(data: CategoryData, checks=None, tolerance: float = 1e-9) -> dict
     return report
 
 
+# the check_modular residuals behind each coherence check
+_RESIDUALS = {
+    "pentagon": ("pentagon",),
+    "hexagon": ("hexagon_braid", "hexagon_inverse"),
+    "triangle": ("triangle",),
+    "ribbon": ("ribbon", "twist_weights"),
+}
+
+
 def _one_check(data, rep, name, tol):
-    if name == "pentagon":
-        residual = rep.residuals.get("pentagon", pentagon_residual(data)[0])
-        return _entry(residual, tol)
-    if name == "hexagon":
-        residual = max(
-            rep.residuals.get("hexagon_braid", hexagon_residual(data, "braid")[0]),
-            rep.residuals.get(
-                "hexagon_inverse", hexagon_residual(data, "inverse_braid")[0]
-            ),
-        )
-        return _entry(residual, tol)
-    if name == "triangle":
-        return _entry(rep.residuals.get("triangle", triangle_residual(data)), tol)
-    if name == "ribbon":
-        residual = max(
-            rep.residuals.get("ribbon", ribbon_residual(data)),
-            rep.residuals.get("twist_weights", twist_weight_residual(data)),
-        )
-        return _entry(residual, tol)
+    if name in _RESIDUALS:
+        found = rep.residuals
+        if not all(key in found for key in _RESIDUALS[name]):  # ring invalid: none computed
+            found = dict(
+                coherence_summary(data),
+                ribbon=ribbon_residual(data),
+                twist_weights=twist_weight_residual(data),
+            )
+        return _entry(np.max([found[key] for key in _RESIDUALS[name]]), tol)  # keeps a NaN
     if name == "rigidity":
         worst = 0.0
         for a in range(data.ring.size):
@@ -378,11 +378,11 @@ def _one_check(data, rep, name, tol):
                 return _entry(float("inf"), tol)
             if abs(value) <= RIGIDITY_FLOOR:
                 return _entry(float("inf"), tol)
-            worst = max(worst, f_inverse_unit_check(data, a))
+            worst = np.maximum(worst, f_inverse_unit_check(data, a))  # keeps a NaN
         return _entry(worst, tol)
     # modularity: invertibility margin of S~, plus the pipeline verdict
     s = rep.s_tilde.entries
-    if s.size == 0:
+    if s.size == 0 or not np.isfinite(s).all():
         return {"residual": None, "threshold": DET_TOL, "pass": False}
     sv = np.linalg.svd(s, compute_uv=False)
     margin = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
@@ -394,6 +394,7 @@ def _one_check(data, rep, name, tol):
 
 
 def _entry(residual, tol):
+    residual = float(residual)
     return {"residual": _finite(residual), "threshold": tol, "pass": residual < tol}
 
 

@@ -96,8 +96,8 @@ def ribbon_residual(data: CategoryData, twists: np.ndarray | None = None) -> flo
                 c = int(c)
                 block = th[a] * th[b] * monodromy(data, a, b, c)
                 dev = np.abs(th[c] * np.eye(block.shape[0]) - block).max()
-                worst = max(worst, float(dev))
-    return worst
+                worst = np.maximum(worst, dev)  # unlike max(), keeps a NaN
+    return float(worst)
 
 
 def s_matrix_unnormalized(data: CategoryData) -> SMatrix:

@@ -1,12 +1,15 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+import mtcat.io
 from mtcat import (
     ParseError,
     SchemaError,
     ValidationError,
+    check_modular,
     dumps,
     load,
     loads,
@@ -14,8 +17,15 @@ from mtcat import (
     run_report,
     save,
 )
-from mtcat.cli import main
-from mtcat.io import category_to_dict, report_to_json, report_to_text
+from mtcat.catalog import FAMILIES
+from mtcat.cli import build_parser, main
+from mtcat.io import (
+    all_pass,
+    category_from_dict,
+    category_to_dict,
+    report_to_json,
+    report_to_text,
+)
 
 
 @pytest.mark.parametrize(
@@ -106,6 +116,36 @@ def test_schema_version_checked(fib):
         loads(json.dumps(doc))
 
 
+def _put_number(doc, field, value):
+    """Write ``value`` into the first number slot of ``field``."""
+    if field == "central_charge":
+        doc[field] = value
+    elif field == "weights":
+        doc[field][1][1] = value
+    else:
+        doc[field][0][-2] = value  # real part of the first entry
+
+
+@pytest.mark.parametrize("field", ["f_symbols", "r_symbols", "weights", "central_charge"])
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_token_rejected(fib, field, token):
+    doc = category_to_dict(fib)
+    _put_number(doc, field, 1234.5)
+    text = json.dumps(doc).replace("1234.5", token)
+    message = f"{field}: expected a finite number, got Decimal('{token}')"
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        loads(text)
+
+
+@pytest.mark.parametrize("field", ["f_symbols", "r_symbols", "weights", "central_charge"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_float_rejected(fib, field, value):
+    doc = category_to_dict(fib)
+    _put_number(doc, field, value)
+    with pytest.raises(SchemaError, match=f"{field}: expected a finite number"):
+        category_from_dict(doc)
+
+
 # --- reports -------------------------------------------------------------------
 
 
@@ -128,6 +168,38 @@ def test_report_degenerate_entry():
     assert report["verdict"] == "degenerate"
     assert report["checks"]["pentagon"]["pass"]
     assert not report["checks"]["modularity"]["pass"]
+
+
+def test_report_reuses_pipeline_residuals(fib, monkeypatch):
+    def recomputed(*args, **kwargs):
+        raise AssertionError("run_report recomputed a residual check_modular has")
+
+    for name in ("coherence_summary", "ribbon_residual", "twist_weight_residual"):
+        monkeypatch.setattr(mtcat.io, name, recomputed)
+    assert all_pass(run_report(fib))
+
+
+@pytest.mark.parametrize(
+    "kind,key,nan_residuals",
+    [
+        ("F", (1, 1, 1, 1, 0, 0), ("pentagon", "hexagon_braid", "hexagon_inverse")),
+        ("F", (0, 1, 1, 1, 1, 1), ("triangle", "pentagon")),
+        ("R", (1, 1, 1), ("hexagon_braid", "hexagon_inverse", "ribbon")),
+    ],
+)
+def test_nan_data_never_passes(fib, kind, key, nan_residuals):
+    bad = fib.copy()
+    table = bad.F if kind == "F" else bad.R
+    table[key] = np.full(table[key].shape, np.nan, dtype=complex)
+    with np.errstate(invalid="ignore"):
+        rep = check_modular(bad)
+        report = run_report(bad)
+    assert rep.verdict == "incoherent"
+    for name in nan_residuals:
+        assert np.isnan(rep.residuals[name]), name
+    assert report["verdict"] == "incoherent"
+    assert report["checks"]["modularity"]["pass"] is False
+    assert not all_pass(report)
 
 
 def test_report_text_renders(fib):
@@ -174,6 +246,12 @@ def test_cli_exit_code_2_on_garbage(tmp_path, capsys):
     assert main(["verify", str(path)]) == 2
     assert main(["validate", str(path)]) == 2
     assert main(["dims", str(tmp_path / "missing.json")]) == 2
+
+
+def test_cli_gen_offers_every_family():
+    parser = build_parser()
+    for family in FAMILIES:
+        assert parser.parse_args(["gen", family, "-o", "x.json"]).family == family
 
 
 def test_cli_gen_rejects_bad_params(capsys, tmp_path):
