@@ -21,6 +21,7 @@ acceptance gate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -254,6 +255,8 @@ class _QuantumIntegers:
         self.fac = np.ones(top)
         for n in range(1, top):
             self.fac[n] = self.fac[n - 1] * self.num[n]
+        for table in (self.num, self.fac):  # one instance serves every caller at its level
+            table.setflags(write=False)
 
     def __getitem__(self, n: int) -> float:
         return self.num[n]
@@ -262,6 +265,12 @@ class _QuantumIntegers:
         if n < 0:
             return 0.0
         return self.fac[n]
+
+
+@functools.lru_cache(maxsize=16)
+def _quantum_integers(k: int) -> _QuantumIntegers:
+    """The level-k table, built once per level and shared by every coefficient."""
+    return _QuantumIntegers(k)
 
 
 def _admissible_triad(k: int, a: int, b: int, c: int) -> bool:
@@ -287,7 +296,7 @@ def q_racah_6j(k: int, a: int, b: int, c: int, d: int, e: int, f: int) -> comple
     for triad in ((b, c, e), (a, e, d), (a, b, f), (f, c, d)):
         if not _admissible_triad(k, *triad):
             raise InputError(f"inadmissible triad {triad} at level {k}")
-    qi = _QuantumIntegers(k)
+    qi = _quantum_integers(k)
     sign = -1.0 if ((a + b + c + d) // 2) % 2 else 1.0
     value = (
         sign

@@ -543,72 +543,34 @@ def random_gauge(ring: FusionRing, seed: int) -> GaugeTransform:
 def gauge_transform(data: CategoryData, gauge: GaugeTransform) -> CategoryData:
     """Conjugate the symbol data by a basis change of the fusion spaces.
 
-    Per block, F'[a,b,c,d] = (g[b,c,e] (x) g[a,e,d]) F (g[a,b,f] (x) g[f,c,d])^-1
+    Per block, F'[a,b,c,d;e,f] = (g[b,c,e] (x) g[a,e,d]) F (g[a,b,f]^-1 (x) g[f,c,d]^-1)
     and R'[a,b,c] = inv(g[a,b,c])^T R[a,b,c] g[b,a,c]^T.  The ring object is
     shared, not copied.
     """
     if gauge.ring is not data.ring and gauge.ring != data.ring:
         raise InputError("gauge transform built for a different fusion ring")
     gauge.validate()
-    ring = data.ring
-    N = ring.N
-    newF = {}
-    for (a, b, c, d), keys in _f_keys_by_tuple(data).items():
-        es = sorted({k[4] for k in keys})
-        fs = sorted({k[5] for k in keys})
-        lm = f_matrix(data, a, b, c, d)
-        row_g = _block_diag(
-            [np.kron(gauge.matrix(b, c, e), gauge.matrix(a, e, d)) for e in es]
+    g = {v: gauge.matrix(*v) for v in fusion_vertices(data.ring)}
+    g_inv = {v: np.linalg.inv(mat) for v, mat in g.items()}
+    newF = {
+        (a, b, c, d, e, f): np.einsum(
+            "ij,kl,jlmn,mo,np->ikop",
+            g[b, c, e], g[a, e, d], block, g_inv[a, b, f], g_inv[f, c, d],
         )
-        col_g = _block_diag(
-            [np.kron(gauge.matrix(a, b, f), gauge.matrix(f, c, d)) for f in fs]
-        )
-        new = row_g @ lm.matrix @ np.linalg.inv(col_g)
-        rpos = 0
-        for e in es:
-            rcount = N[b, c, e] * N[a, e, d]
-            cpos = 0
-            for f in fs:
-                ccount = N[a, b, f] * N[f, c, d]
-                newF[(a, b, c, d, e, f)] = np.ascontiguousarray(
-                    new[rpos : rpos + rcount, cpos : cpos + ccount].reshape(
-                        N[b, c, e], N[a, e, d], N[a, b, f], N[f, c, d]
-                    )
-                )
-                cpos += ccount
-            rpos += rcount
-    newR = {}
-    for (a, b, c), block in data.R.items():
-        g_ab = gauge.matrix(a, b, c)
-        g_ba = gauge.matrix(b, a, c)
-        newR[(a, b, c)] = np.linalg.inv(g_ab).T @ block @ g_ba.T
+        for (a, b, c, d, e, f), block in data.F.items()
+    }
+    newR = {
+        (a, b, c): g_inv[a, b, c].T @ block @ g[b, a, c].T
+        for (a, b, c), block in data.R.items()
+    }
     return CategoryData(
-        ring=ring,
+        ring=data.ring,
         F=newF,
         R=newR,
         weights=None if data.weights is None else data.weights.copy(),
         central_charge=data.central_charge,
         name=data.name,
     )
-
-
-def _f_keys_by_tuple(data: CategoryData) -> dict:
-    grouped = {}
-    for key in data.F:
-        grouped.setdefault(key[:4], []).append(key)
-    return grouped
-
-
-def _block_diag(blocks):
-    n = sum(b.shape[0] for b in blocks)
-    k = sum(b.shape[1] for b in blocks)
-    out = np.zeros((n, k), dtype=complex)
-    i = j = 0
-    for b in blocks:
-        out[i : i + b.shape[0], j : j + b.shape[1]] = b
-        i += b.shape[0]
-        j += b.shape[1]
-    return out
 
 
 def coherence_summary(data: CategoryData) -> dict:

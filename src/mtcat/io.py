@@ -30,29 +30,10 @@ from decimal import Decimal
 import numpy as np
 
 from . import __version__
-from .category_data import (
-    CategoryData,
-    coherence_summary,
-    f_block_shape,
-    f_inverse_unit_check,
-    rigidity_scalar,
-    validate_symbols,
-)
-from .errors import (
-    InputError,
-    ParseError,
-    RigidityDegenerate,
-    SchemaError,
-    ValidationError,
-)
+from .category_data import CategoryData, f_block_shape, f_inverse_unit_check, validate_symbols
+from .errors import InputError, ParseError, SchemaError, ValidationError
 from .fusion_ring import FusionRing, validate_ring
-from .ribbon_modular import (
-    COHERENCE_TOL,
-    DET_TOL,
-    check_modular,
-    ribbon_residual,
-    twist_weight_residual,
-)
+from .ribbon_modular import COHERENCE_TOL, DET_TOL, check_modular
 
 SCHEMA_VERSION = 1
 RIGIDITY_FLOOR = 1e-6
@@ -290,12 +271,13 @@ def _check_range(indices, m, where):
 
 
 def run_report(data: CategoryData, checks=None, tolerance: float = 1e-9) -> dict:
-    """Evaluate the requested checks and assemble the report document.
+    """Run ``check_modular`` once and format its result as the report document.
 
     ``checks`` defaults to all of them.  Pass/fail per check uses
     ``tolerance``; the overall verdict always comes from the full pipeline
     with its own pinned thresholds (coherence 1e-7, determinant 1e-8
-    relative), so the verdict is stable under tolerance tweaks.
+    relative), so the verdict is stable under tolerance tweaks.  Non-finite
+    numbers are written as ``null``.
     """
     if checks is None:
         checks = CHECK_NAMES
@@ -304,13 +286,11 @@ def run_report(data: CategoryData, checks=None, tolerance: float = 1e-9) -> dict
         if c not in CHECK_NAMES:
             raise InputError(f"unknown check {c!r}; known: {', '.join(CHECK_NAMES)}")
 
-    rep = check_modular(data)  # computes every residual the checks report
-    entries = {}
-    for c in checks:
-        entries[c] = _one_check(data, rep, c, tolerance)
+    rep = check_modular(data)  # computes every quantity the report holds
+    entries = {c: _one_check(data, rep, c, tolerance) for c in checks}
 
     def cplx(z):
-        return [float(np.real(z)), float(np.imag(z))]
+        return [_finite(np.real(z)), _finite(np.imag(z))]
 
     def cmat(M):
         return [[cplx(z) for z in row] for row in np.asarray(M)]
@@ -320,7 +300,7 @@ def run_report(data: CategoryData, checks=None, tolerance: float = 1e-9) -> dict
 
     matrices = {
         "dims": cvec(rep.dims),
-        "fp_dims": [float(x) for x in rep.fp_dims],
+        "fp_dims": [_finite(x) for x in rep.fp_dims],
         "twists": cvec(rep.twists),
         "s_tilde": cmat(rep.s_tilde.entries),
         "s_norm": None if rep.s_norm is None else cmat(rep.s_norm.entries),
@@ -332,7 +312,7 @@ def run_report(data: CategoryData, checks=None, tolerance: float = 1e-9) -> dict
         "checks": entries,
         "verdict": rep.verdict,
         "residuals": {k: _finite(v) for k, v in sorted(rep.residuals.items())},
-        "global_dim_sq": rep.global_dim_sq,
+        "global_dim_sq": _finite(rep.global_dim_sq),
         "gauss_sums": {
             "plus": cplx(rep.gauss_sums[0]),
             "minus": cplx(rep.gauss_sums[1]),
@@ -361,25 +341,20 @@ _RESIDUALS = {
 
 def _one_check(data, rep, name, tol):
     if name in _RESIDUALS:
-        found = rep.residuals
-        if not all(key in found for key in _RESIDUALS[name]):  # ring invalid: none computed
-            found = dict(
-                coherence_summary(data),
-                ribbon=ribbon_residual(data),
-                twist_weights=twist_weight_residual(data),
-            )
-        return _entry(np.max([found[key] for key in _RESIDUALS[name]]), tol)  # keeps a NaN
+        # an invalid ring leaves them uncomputed, which fails the check
+        found = [rep.residuals.get(key, float("inf")) for key in _RESIDUALS[name]]
+        return _entry(np.max(found), tol)  # keeps a NaN
     if name == "rigidity":
-        worst = 0.0
-        for a in range(data.ring.size):
-            try:
-                value = rigidity_scalar(data, a)
-            except RigidityDegenerate:
-                return _entry(float("inf"), tol)
-            if abs(value) <= RIGIDITY_FLOOR:
-                return _entry(float("inf"), tol)
-            worst = np.maximum(worst, f_inverse_unit_check(data, a))  # keeps a NaN
-        return _entry(worst, tol)
+        # a missing or vanishing unit-channel element gives a NaN dimension
+        dims = rep.dims
+        degenerate = not np.isfinite(dims).all() or (abs(dims) >= 1 / RIGIDITY_FLOOR).any()
+        if dims.size == 0 or degenerate:
+            return _entry(float("inf"), tol)
+        try:
+            found = [f_inverse_unit_check(data, a) for a in range(dims.size)]
+        except InputError:  # a singular fusing matrix, possible only for data built in memory
+            return _entry(float("inf"), tol)
+        return _entry(np.max(found), tol)
     # modularity: invertibility margin of S~, plus the pipeline verdict
     s = rep.s_tilde.entries
     if s.size == 0 or not np.isfinite(s).all():
@@ -403,7 +378,7 @@ def _finite(x):
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
 
 
 def report_to_text(report: dict) -> str:
@@ -419,18 +394,19 @@ def report_to_text(report: dict) -> str:
         verdict = "pass" if entry["pass"] else "FAIL"
         lines.append(f"{cname:<12} {res_s:>12} {entry['threshold']:>12.1e}  {verdict}")
     lines.append("")
-    dims = report["matrices"]["dims"]
-    fp = report["matrices"]["fp_dims"]
-    tw = report["matrices"]["twists"]
+    mats = report["matrices"]
     lines.append(f"{'label':<10} {'dim':>22} {'fp_dim':>12} {'twist':>24}")
-    for i in range(len(dims)):
-        d = complex(*dims[i])
-        t = complex(*tw[i])
-        lines.append(f"{i:<10} {_fmt_c(d):>22} {fp[i]:>12.8f} {_fmt_c(t):>24}")
+    for i, (d, fp, t) in enumerate(zip(mats["dims"], mats["fp_dims"], mats["twists"])):
+        lines.append(f"{i:<10} {_fmt_c(d):>22} {_num(fp):>12.8f} {_fmt_c(t):>24}")
     return "\n".join(lines)
 
 
-def _fmt_c(z: complex) -> str:
+def _num(x) -> float:
+    return math.nan if x is None else x  # a report writes non-finite numbers as null
+
+
+def _fmt_c(pair) -> str:
+    z = complex(_num(pair[0]), _num(pair[1]))
     if abs(z.imag) < 5e-13:
         return f"{z.real:.8f}"
     return f"{z.real:.6f}{z.imag:+.6f}i"

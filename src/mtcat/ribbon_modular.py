@@ -5,20 +5,28 @@ fusing element; it can carry a sign (or phase) relative to the positive
 Perron dimension, and every formula here uses the signed value consistently.
 Twists are computed from the braiding alone via the quantum trace; supplied
 conformal weights are a cross-check, never an input to the computation.
+
+Everything downstream of the dimensions is derived from one walk over the
+fusion channels (``_derive``); the public functions are thin entry points over
+the same array helpers that ``check_modular`` uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .category_data import CategoryData, coherence_summary, rigidity_scalar
-from .errors import InputError, WeightsInconsistent
+from .errors import InputError, RigidityDegenerate, WeightsInconsistent
 from .fusion_ring import SMatrix, fp_dimensions, validate_ring
 
 COHERENCE_TOL = 1e-7  # verdict threshold; loose enough for level-8 accumulation
 DET_TOL = 1e-8  # determinant threshold, relative to the matrix scale
+# the residuals that decide coherence; the first four come from coherence_summary
+_COHERENCE = ("pentagon", "hexagon_braid", "hexagon_inverse", "triangle", "ribbon",
+              "twist_weights")
 
 
 def quantum_dimension(data: CategoryData, a) -> complex:
@@ -27,7 +35,18 @@ def quantum_dimension(data: CategoryData, a) -> complex:
 
 
 def quantum_dimensions(data: CategoryData) -> np.ndarray:
-    return np.array([quantum_dimension(data, a) for a in range(data.ring.size)])
+    """Every label's dimension; NaN where the unit-channel element is missing or vanishes.
+
+    The NaN carries into the twists and the ribbon residual, so such data is
+    judged ``incoherent`` instead of stopping the check.
+    """
+    dims = np.empty(data.ring.size, dtype=complex)
+    for a in range(data.ring.size):
+        try:
+            dims[a] = quantum_dimension(data, a)
+        except RigidityDegenerate:
+            dims[a] = np.nan
+    return dims
 
 
 def monodromy(data: CategoryData, a, b, c) -> np.ndarray:
@@ -39,17 +58,42 @@ def monodromy(data: CategoryData, a, b, c) -> np.ndarray:
     return data.r_block(b, a, c) @ data.r_block(a, b, c)
 
 
-def twist(data: CategoryData, a, check_weights: bool = True, tol: float = 1e-9) -> complex:
-    """Ribbon twist of a label from the braiding data.
+class _Derived(NamedTuple):
+    dims: np.ndarray
+    twists: np.ndarray
+    channels: np.ndarray  # (k, 3): every (a, b, c) with N[a,b,c] > 0, in lexicographic order
+    monodromies: list  # R[b,a,c] @ R[a,b,c] for each channel
+
+
+def _derive(data: CategoryData) -> _Derived:
+    """Dimensions, twists and channel monodromies from one walk over the channels.
 
     theta_a = (1/d_a) sum_c d_c tr R[a,a,c]: the quantum trace of the
-    self-braiding divided by the dimension.  When weights are present the
-    value is checked against exp(2 i pi h_a); a mismatch beyond ``tol``
-    raises, since it means the file's weights belong to a different braiding.
+    self-braiding divided by the dimension.
     """
-    ring = data.ring
-    a = ring.index(a)
-    value = _twists(data)[a]
+    dims = quantum_dimensions(data)
+    channels = np.argwhere(data.ring.N > 0)
+    twists = np.zeros(len(dims), dtype=complex)
+    monodromies = []
+    for a, b, c in channels.tolist():
+        r = data.r_block(a, b, c)
+        monodromies.append(data.r_block(b, a, c) @ r)
+        if a == b:
+            twists[a] += dims[c] * np.trace(r)
+    with np.errstate(invalid="ignore"):  # a NaN dimension gives a NaN twist, quietly
+        twists = twists / dims
+    return _Derived(dims, twists, channels, monodromies)
+
+
+def twist(data: CategoryData, a, check_weights: bool = True, tol: float = 1e-9) -> complex:
+    """Ribbon twist of a label from the braiding data (see ``_derive``).
+
+    When weights are present the value is checked against exp(2 i pi h_a); a
+    mismatch beyond ``tol`` raises, since it means the file's weights belong
+    to a different braiding.
+    """
+    a = data.ring.index(a)
+    value = _derive(data).twists[a]
     if check_weights and data.weights is not None:
         expect = np.exp(2j * np.pi * data.weights[a])
         if abs(value - expect) >= tol:
@@ -59,25 +103,15 @@ def twist(data: CategoryData, a, check_weights: bool = True, tol: float = 1e-9) 
     return complex(value)
 
 
-def _twists(data: CategoryData, dims: np.ndarray | None = None) -> np.ndarray:
-    if dims is None:
-        dims = quantum_dimensions(data)
-    ring = data.ring
-    th = np.zeros(ring.size, dtype=complex)
-    for a in range(ring.size):
-        total = 0.0 + 0.0j
-        for c in ring.channels(a, a):
-            total += dims[c] * np.trace(data.r_block(a, a, int(c)))
-        th[a] = total / dims[a]
-    return th
-
-
 def twist_weight_residual(data: CategoryData) -> float:
     """max_a |theta_a - exp(2 i pi h_a)|, or 0.0 when no weights are stored."""
-    if data.weights is None:
+    return _weight_residual(_derive(data).twists, data.weights)
+
+
+def _weight_residual(twists: np.ndarray, weights: np.ndarray | None) -> float:
+    if weights is None:
         return 0.0
-    th = _twists(data)
-    return float(np.abs(th - np.exp(2j * np.pi * data.weights)).max())
+    return float(np.abs(twists - np.exp(2j * np.pi * weights)).max())
 
 
 def ribbon_residual(data: CategoryData, twists: np.ndarray | None = None) -> float:
@@ -86,17 +120,21 @@ def ribbon_residual(data: CategoryData, twists: np.ndarray | None = None) -> flo
     ``twists`` overrides the braiding-derived values (useful for probing how
     far a wrong twist assignment is from balancing).
     """
-    ring = data.ring
-    dims = quantum_dimensions(data)
-    th = _twists(data, dims) if twists is None else np.asarray(twists, dtype=complex)
+    derived = _derive(data)
+    th = derived.twists if twists is None else np.asarray(twists, dtype=complex)
+    return _ribbon(derived, th)
+
+
+def _ribbon(derived: _Derived, th: np.ndarray) -> float:
+    """The balancing residual, one array expression per monodromy block size."""
+    sizes = np.array([len(block) for block in derived.monodromies])
     worst = 0.0
-    for a in range(ring.size):
-        for b in range(ring.size):
-            for c in ring.channels(a, b):
-                c = int(c)
-                block = th[a] * th[b] * monodromy(data, a, b, c)
-                dev = np.abs(th[c] * np.eye(block.shape[0]) - block).max()
-                worst = np.maximum(worst, dev)  # unlike max(), keeps a NaN
+    for n in np.unique(sizes):
+        pick = np.flatnonzero(sizes == n)
+        a, b, c = derived.channels[pick].T
+        blocks = np.stack([derived.monodromies[i] for i in pick])
+        dev = np.abs(th[c, None, None] * np.eye(n) - (th[a] * th[b])[:, None, None] * blocks)
+        worst = np.maximum(worst, dev.max())  # unlike max(), keeps a NaN
     return float(worst)
 
 
@@ -106,17 +144,16 @@ def s_matrix_unnormalized(data: CategoryData) -> SMatrix:
     S~[a,b] = sum_c d_c tr(monodromy block on c); symmetric, with unit row
     equal to the dimension vector.
     """
-    ring = data.ring
-    dims = quantum_dimensions(data)
-    m = ring.size
+    return SMatrix(_s_trace(_derive(data)), "unnormalized")
+
+
+def _s_trace(derived: _Derived) -> np.ndarray:
+    m = len(derived.dims)
+    a, b, c = derived.channels.T
+    traces = np.array([np.trace(block) for block in derived.monodromies])
     S = np.zeros((m, m), dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            total = 0.0 + 0.0j
-            for c in ring.channels(a, b):
-                total += dims[int(c)] * np.trace(monodromy(data, a, b, int(c)))
-            S[a, b] = total
-    return SMatrix(S, "unnormalized")
+    np.add.at(S, (a, b), derived.dims[c] * traces)
+    return S
 
 
 def s_matrix_balanced(data: CategoryData) -> SMatrix:
@@ -126,27 +163,23 @@ def s_matrix_balanced(data: CategoryData) -> SMatrix:
     oracle for the identity expressing the modular transformation matrix
     through braiding and fusing data.
     """
-    ring = data.ring
-    dims = quantum_dimensions(data)
-    th = _twists(data, dims)
-    m = ring.size
-    S = np.zeros((m, m), dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            total = 0.0 + 0.0j
-            for c in ring.channels(a, b):
-                c = int(c)
-                total += ring.N[a, b, c] * dims[c] * th[c]
-            S[a, b] = total / (th[a] * th[b])
-    return SMatrix(S, "unnormalized")
+    derived = _derive(data)
+    return SMatrix(_s_balanced(data.ring.N, derived.dims, derived.twists), "unnormalized")
+
+
+def _s_balanced(N: np.ndarray, dims: np.ndarray, th: np.ndarray) -> np.ndarray:
+    return np.einsum("abc,c->ab", N, dims * th) / np.outer(th, th)
 
 
 def t_matrix(data: CategoryData) -> np.ndarray:
     """Diagonal of the T-matrix: t[a] = theta_a exp(-2 i pi c / 24)."""
     if data.central_charge is None:
         raise InputError("T-matrix needs a central charge")
-    th = _twists(data)
-    return th * np.exp(-2j * np.pi * data.central_charge / 24.0)
+    return _t_diag(_derive(data).twists, data.central_charge)
+
+
+def _t_diag(th: np.ndarray, central_charge: float) -> np.ndarray:
+    return th * np.exp(-2j * np.pi * central_charge / 24.0)
 
 
 @dataclass
@@ -177,118 +210,82 @@ def check_modular(data: CategoryData, coherence_tol: float = COHERENCE_TOL) -> M
     ``degenerate`` when det(S~) vanishes relative to the matrix scale;
     otherwise ``modular``.  When modular and a central charge is present,
     the S/T relations are evaluated and recorded as residuals (they inform
-    the report, not the verdict).
+    the report, not the verdict).  An invalid ring leaves every derived
+    array empty.
     """
     ring = data.ring
-    residuals: dict[str, float] = {}
-
-    ring_report = validate_ring(ring)
-    residuals["ring"] = 0.0 if ring_report.ok else float("inf")
-
-    if ring_report.ok:
-        summary = coherence_summary(data)
-        residuals["pentagon"] = summary["pentagon"]
-        residuals["hexagon_braid"] = summary["hexagon_braid"]
-        residuals["hexagon_inverse"] = summary["hexagon_inverse"]
-        residuals["triangle"] = summary["triangle"]
-        residuals["ribbon"] = ribbon_residual(data)
-        residuals["twist_weights"] = twist_weight_residual(data)
-    coherent = ring_report.ok and all(
-        residuals[k] < coherence_tol
-        for k in ("pentagon", "hexagon_braid", "hexagon_inverse", "triangle", "ribbon",
-                  "twist_weights")
-    )
-
-    dims = quantum_dimensions(data) if ring_report.ok else np.array([])
-    fp = fp_dimensions(ring) if ring_report.ok else np.array([])
-    th = _twists(data, dims) if ring_report.ok else np.array([])
-
-    if not coherent:
-        s_tilde = s_matrix_unnormalized(data) if ring_report.ok else SMatrix(np.zeros((0, 0)))
-        return ModularReport(
-            verdict="incoherent",
-            dims=dims,
-            fp_dims=fp,
-            twists=th,
-            s_tilde=s_tilde,
-            s_norm=None,
-            t_diag=None,
-            global_dim_sq=float(np.real(np.sum(dims**2))) if dims.size else 0.0,
-            gauss_sums=(0j, 0j),
-            residuals=residuals,
-        )
-
-    s_tilde = s_matrix_unnormalized(data)
-    s_balanced = s_matrix_balanced(data)
-    residuals["smatrix_two_route"] = float(
-        np.abs(s_tilde.entries - s_balanced.entries).max()
-    )
-    residuals["smatrix_symmetric"] = float(
-        np.abs(s_tilde.entries - s_tilde.entries.T).max()
-    )
-
-    dim_sq = complex(np.sum(dims**2))
-    p_plus = complex(np.sum(dims**2 * th))
-    p_minus = complex(np.sum(dims**2 / th))
-
     m = ring.size
-    scale = (np.linalg.norm(s_tilde.entries) / np.sqrt(m)) ** m
-    det = np.linalg.det(s_tilde.entries)
-    if abs(det) < DET_TOL * max(scale, 1e-300):
-        return ModularReport(
-            verdict="degenerate",
-            dims=dims,
-            fp_dims=fp,
-            twists=th,
-            s_tilde=s_tilde,
-            s_norm=None,
-            t_diag=None if data.central_charge is None else t_matrix(data),
-            global_dim_sq=float(dim_sq.real),
-            gauss_sums=(p_plus, p_minus),
-            residuals=residuals,
-        )
+    residuals: dict[str, float] = {"ring": 0.0 if validate_ring(ring).ok else float("inf")}
+    coherent = False
+    dims = fp = th = np.array([])
+    s_tilde = np.zeros((0, 0))
+    s_norm = t_diag = None
+    dim_sq = 0j
+    gauss_sums = (0j, 0j)
 
-    # normalized S and the relations it should satisfy
-    if abs(dim_sq.imag) > 1e-9 * max(abs(dim_sq), 1.0) or dim_sq.real <= 0:
-        residuals["global_dim_positive"] = float("inf")
-        s_norm = None
-        t_diag = None
-    else:
-        residuals["global_dim_positive"] = float(abs(dim_sq.imag))
-        D = float(np.sqrt(dim_sq.real))
-        s = s_tilde.entries / D
-        s_norm = SMatrix(s, "normalized")
-        charge_perm = np.zeros((m, m))
-        charge_perm[np.arange(m), ring.dual] = 1.0
-        residuals["s_squared_charge"] = float(np.abs(s @ s - charge_perm).max())
-        residuals["gauss_product"] = float(abs(abs(p_plus * p_minus) - dim_sq.real))
-        # (st)^3 = (p+/D) s^2 C with t the bare twists; the extra charge
-        # conjugation reflects this package's dual-index placement in S~
-        # (for all-self-dual label sets C is the identity and the factor
-        # drops out).  The charge factor in the T-matrix diagonal would
-        # cancel the Gauss-sum phase to give (sT)^3 = s^2 C instead.
-        st = s * th[None, :]
-        st3 = st @ st @ st
-        residuals["st_cubed"] = float(
-            np.abs(st3 - (p_plus / D) * (s @ s @ charge_perm)).max()
+    if residuals["ring"] == 0.0:
+        summary = coherence_summary(data)
+        residuals.update((key, summary[key]) for key in _COHERENCE[:4])
+        derived = _derive(data)
+        dims, th = derived.dims, derived.twists
+        fp = fp_dimensions(ring)
+        residuals["ribbon"] = _ribbon(derived, th)
+        residuals["twist_weights"] = _weight_residual(th, data.weights)
+        s_tilde = _s_trace(derived)
+        dim_sq = complex(np.sum(dims**2))
+        coherent = all(residuals[key] < coherence_tol for key in _COHERENCE)
+
+    verdict = "modular" if coherent else "incoherent"
+    if coherent:
+        residuals["smatrix_two_route"] = float(
+            np.abs(s_tilde - _s_balanced(ring.N, dims, th)).max()
         )
-        t_diag = None
-        if data.central_charge is not None:
-            t_diag = t_matrix(data)
-            # Gauss-sum phase against the stated central charge (mod 8)
-            residuals["central_charge_phase"] = float(
-                abs(p_plus / abs(p_plus) - np.exp(2j * np.pi * data.central_charge / 8.0))
+        residuals["smatrix_symmetric"] = float(np.abs(s_tilde - s_tilde.T).max())
+        p_plus = complex(np.sum(dims**2 * th))
+        p_minus = complex(np.sum(dims**2 / th))
+        gauss_sums = (p_plus, p_minus)
+        t = None if data.central_charge is None else _t_diag(th, data.central_charge)
+        scale = (np.linalg.norm(s_tilde) / np.sqrt(m)) ** m
+        if abs(np.linalg.det(s_tilde)) < DET_TOL * max(scale, 1e-300):
+            verdict, t_diag = "degenerate", t
+        elif abs(dim_sq.imag) > 1e-9 * max(abs(dim_sq), 1.0) or dim_sq.real <= 0:
+            residuals["global_dim_positive"] = float("inf")
+        else:
+            # normalized S and the relations it should satisfy
+            residuals["global_dim_positive"] = float(abs(dim_sq.imag))
+            D = float(np.sqrt(dim_sq.real))
+            s = s_tilde / D
+            s_norm = SMatrix(s, "normalized")
+            charge_perm = np.zeros((m, m))
+            charge_perm[np.arange(m), ring.dual] = 1.0
+            residuals["s_squared_charge"] = float(np.abs(s @ s - charge_perm).max())
+            residuals["gauss_product"] = float(abs(abs(p_plus * p_minus) - dim_sq.real))
+            # (st)^3 = (p+/D) s^2 C with t the bare twists; the extra charge
+            # conjugation reflects this package's dual-index placement in S~
+            # (for all-self-dual label sets C is the identity and the factor
+            # drops out).  The charge factor in the T-matrix diagonal would
+            # cancel the Gauss-sum phase to give (sT)^3 = s^2 C instead.
+            st = s * th[None, :]
+            st3 = st @ st @ st
+            residuals["st_cubed"] = float(
+                np.abs(st3 - (p_plus / D) * (s @ s @ charge_perm)).max()
             )
+            t_diag = t
+            if t is not None:
+                # Gauss-sum phase against the stated central charge (mod 8)
+                residuals["central_charge_phase"] = float(
+                    abs(p_plus / abs(p_plus) - np.exp(2j * np.pi * data.central_charge / 8.0))
+                )
 
     return ModularReport(
-        verdict="modular",
+        verdict=verdict,
         dims=dims,
         fp_dims=fp,
         twists=th,
-        s_tilde=s_tilde,
+        s_tilde=SMatrix(s_tilde, "unnormalized"),
         s_norm=s_norm,
         t_diag=t_diag,
         global_dim_sq=float(dim_sq.real),
-        gauss_sums=(p_plus, p_minus),
+        gauss_sums=gauss_sums,
         residuals=residuals,
     )

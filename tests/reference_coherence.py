@@ -1,15 +1,21 @@
-"""Reference oracle for the coherence engine: the per-instance loops.
+"""Reference oracles: per-instance loops and the dense gauge transform.
 
 These are the original block-by-block evaluations of the pentagon and both
 hexagons, one ``einsum`` per instance over the multiplicity indices.  They
 are slow (Python loops over every label tuple) but independent of the
 instance tables in ``mtcat.category_data``, so the tests compare the two:
-residuals to round-off and the same worst instance.
+residuals to round-off and the same worst instance.  ``modular_loops``
+computes the twists, the ribbon residual and both S-matrix routes one label
+pair and channel at a time, against the array helpers of
+``mtcat.ribbon_modular``.  ``gauge_transform`` conjugates each whole fusing
+matrix by dense block-diagonal gauges, against the block-by-block transform
+of the package.
 """
 
 import numpy as np
 
-from mtcat.category_data import CategoryData
+from mtcat.category_data import CategoryData, f_matrix
+from mtcat.ribbon_modular import monodromy, quantum_dimensions
 
 
 def pentagon_residual(data: CategoryData) -> tuple[float, tuple]:
@@ -80,7 +86,6 @@ def _r_entry(data: CategoryData, direction: str, x, y, z) -> np.ndarray:
     return np.linalg.inv(data.r_block(y, x, z))
 
 
-
 def hexagon_residual(data: CategoryData, direction: str = "braid") -> tuple[float, tuple]:
     ring = data.ring
     N = ring.N
@@ -123,3 +128,83 @@ def hexagon_residual(data: CategoryData, direction: str = "braid") -> tuple[floa
                                 worst = float(diff)
                                 worst_tuple = (a, b, c, d, g, f)
     return worst, worst_tuple
+
+
+def modular_loops(data: CategoryData) -> dict:
+    """Twists, ribbon residual and the trace and balanced S~, one channel at a time."""
+    ring = data.ring
+    m = ring.size
+    dims = quantum_dimensions(data)
+    th = np.zeros(m, dtype=complex)
+    for a in range(m):
+        total = 0.0 + 0.0j
+        for c in ring.channels(a, a):
+            total += dims[c] * np.trace(data.r_block(a, a, int(c)))
+        th[a] = total / dims[a]
+    ribbon = 0.0
+    s_trace = np.zeros((m, m), dtype=complex)
+    s_balanced = np.zeros((m, m), dtype=complex)
+    for a in range(m):
+        for b in range(m):
+            for c in ring.channels(a, b):
+                c = int(c)
+                M = monodromy(data, a, b, c)
+                dev = np.abs(th[c] * np.eye(M.shape[0]) - th[a] * th[b] * M).max()
+                ribbon = np.maximum(ribbon, dev)
+                s_trace[a, b] += dims[c] * np.trace(M)
+                s_balanced[a, b] += ring.N[a, b, c] * dims[c] * th[c]
+            s_balanced[a, b] /= th[a] * th[b]
+    return {
+        "twists": th,
+        "ribbon": float(ribbon),
+        "s_trace": s_trace,
+        "s_balanced": s_balanced,
+    }
+
+
+def gauge_transform(data: CategoryData, gauge) -> CategoryData:
+    """F'[a,b,c,d] = (block-diagonal row gauge) F (block-diagonal column gauge)^-1."""
+    N = data.ring.N
+    grouped = {}
+    for key in data.F:
+        grouped.setdefault(key[:4], []).append(key)
+    newF = {}
+    for (a, b, c, d), keys in grouped.items():
+        es = sorted({k[4] for k in keys})
+        fs = sorted({k[5] for k in keys})
+        lm = f_matrix(data, a, b, c, d)
+        row_g = _block_diag(
+            [np.kron(gauge.matrix(b, c, e), gauge.matrix(a, e, d)) for e in es]
+        )
+        col_g = _block_diag(
+            [np.kron(gauge.matrix(a, b, f), gauge.matrix(f, c, d)) for f in fs]
+        )
+        new = row_g @ lm.matrix @ np.linalg.inv(col_g)
+        rpos = 0
+        for e in es:
+            rcount = N[b, c, e] * N[a, e, d]
+            cpos = 0
+            for f in fs:
+                ccount = N[a, b, f] * N[f, c, d]
+                newF[(a, b, c, d, e, f)] = new[rpos : rpos + rcount, cpos : cpos + ccount].reshape(
+                    N[b, c, e], N[a, e, d], N[a, b, f], N[f, c, d]
+                )
+                cpos += ccount
+            rpos += rcount
+    newR = {
+        (a, b, c): np.linalg.inv(gauge.matrix(a, b, c)).T @ block @ gauge.matrix(b, a, c).T
+        for (a, b, c), block in data.R.items()
+    }
+    return CategoryData(ring=data.ring, F=newF, R=newR)
+
+
+def _block_diag(blocks):
+    n = sum(b.shape[0] for b in blocks)
+    k = sum(b.shape[1] for b in blocks)
+    out = np.zeros((n, k), dtype=complex)
+    i = j = 0
+    for b in blocks:
+        out[i : i + b.shape[0], j : j + b.shape[1]] = b
+        i += b.shape[0]
+        j += b.shape[1]
+    return out

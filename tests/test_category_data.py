@@ -15,11 +15,9 @@ from mtcat import (
     rigidity_scalar,
     triangle_residual,
 )
-from mtcat import CategoryData, FusionRing, validate_ring
-from mtcat.category_data import admissible_f_keys, admissible_r_keys, f_block_shape
 
 import reference_coherence as reference
-from conftest import CATALOG
+from conftest import CATALOG, bump_one_f_and_one_r, random_rep_a4_data
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -57,18 +55,6 @@ def _engine_and_reference(data):
     return out
 
 
-def _bump_one_f_and_one_r(data, seed=0):
-    """Copy with one F block and one R block moved by 1e-3 (keys drawn by seed)."""
-    rng = np.random.default_rng(seed)
-    bad = data.copy()
-    f_keys, r_keys = sorted(bad.F), sorted(bad.R)
-    f_key = f_keys[rng.integers(len(f_keys))]
-    r_key = r_keys[rng.integers(len(r_keys))]
-    bad.F[f_key] = bad.F[f_key] + 1e-3
-    bad.R[r_key] = bad.R[r_key] + 1e-3
-    return bad
-
-
 def _assert_agree(data):
     """Engine and reference agree; returns the largest residual."""
     results = _engine_and_reference(data)
@@ -83,46 +69,19 @@ def _assert_agree(data):
 def test_engine_matches_reference(catalog, name):
     data = catalog[name]
     assert _assert_agree(data) < 1e-12
-    assert _assert_agree(_bump_one_f_and_one_r(data)) > 1e-4
+    assert _assert_agree(bump_one_f_and_one_r(data)) > 1e-4
 
 
 @pytest.mark.slow
 def test_engine_matches_reference_su2_k10():
     # the clean residuals are round-off, so the perturbed copy is the sharper
     # comparison; it still evaluates every clean instance of the level
-    assert _assert_agree(_bump_one_f_and_one_r(make("su2_level", level=10))) > 1e-4
-
-
-def _rep_a4_ring():
-    """Fusion ring of Rep(A4): 1, 1', 1'', 3 with 3 x 3 = 1 + 1' + 1'' + 2*3."""
-    N = np.zeros((4, 4, 4), dtype=int)
-    for x in range(3):
-        for y in range(3):
-            N[x, y, (x + y) % 3] = 1
-        N[x, 3, 3] = N[3, x, 3] = 1
-        N[3, 3, x] = 1
-    N[3, 3, 3] = 2
-    return FusionRing(["1", "1'", "1''", "3"], [0, 2, 1, 3], N)
+    assert _assert_agree(bump_one_f_and_one_r(make("su2_level", level=10))) > 1e-4
 
 
 def test_engine_matches_reference_with_multiplicity():
-    # Random blocks of the admissible shapes are not coherent, so this compares
-    # the two evaluators on large residuals; coherent data with N > 1 needs a
-    # Rep(G) catalog family (ROADMAP item 4).
-    ring = _rep_a4_ring()
-    assert validate_ring(ring).ok and ring.N.max() == 2
-    rng = np.random.default_rng(7)
-
-    def block(shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    F = {key: block(f_block_shape(ring, *key)) for key in admissible_f_keys(ring)}
-    R = {
-        (a, b, c): block((ring.N[a, b, c], ring.N[b, a, c]))
-        for (a, b, c) in admissible_r_keys(ring)
-    }
-    data = CategoryData(ring=ring, F=F, R=R)
-    assert F[(3, 3, 3, 3, 3, 3)].shape == (2, 2, 2, 2)
+    # the blocks are random, so this compares the two evaluators on large residuals
+    data = random_rep_a4_data(7)
     for identity, got, want in _engine_and_reference(data):
         assert got[0] == pytest.approx(want[0], rel=1e-12), identity
         assert got[1] == want[1], identity
@@ -221,6 +180,21 @@ def test_identity_gauge_is_exact_identity(fib):
         assert np.array_equal(out.F[key], fib.F[key]), key
     for key in fib.R:
         assert np.array_equal(out.R[key], fib.R[key]), key
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gauge_matches_dense_reference_with_multiplicity(seed):
+    data = random_rep_a4_data(7)
+    gauge = random_gauge(data.ring, seed)
+    g = gauge.matrix(3, 3, 3)
+    assert g.shape == (2, 2) and np.abs(g - np.diag(np.diag(g))).max() > 0.1  # non-abelian
+    got = gauge_transform(data, gauge)
+    want = reference.gauge_transform(data, gauge)
+    assert got.F.keys() == want.F.keys() and got.R.keys() == want.R.keys()
+    for key in want.F:
+        assert np.abs(got.F[key] - want.F[key]).max() < 1e-12, key
+    for key in want.R:
+        assert np.abs(got.R[key] - want.R[key]).max() < 1e-12, key
 
 
 def test_gauge_preserves_residuals_and_rigidity(catalog):

@@ -1,11 +1,13 @@
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
 
-import mtcat.io
 from mtcat import (
+    CategoryData,
+    FusionRing,
     ParseError,
     SchemaError,
     ValidationError,
@@ -14,10 +16,13 @@ from mtcat import (
     load,
     loads,
     make,
+    quantum_dimensions,
+    rigidity_scalar,
     run_report,
     save,
 )
 from mtcat.catalog import FAMILIES
+from mtcat.category_data import coherence_summary
 from mtcat.cli import build_parser, main
 from mtcat.io import (
     all_pass,
@@ -170,13 +175,57 @@ def test_report_degenerate_entry():
     assert not report["checks"]["modularity"]["pass"]
 
 
-def test_report_reuses_pipeline_residuals(fib, monkeypatch):
-    def recomputed(*args, **kwargs):
-        raise AssertionError("run_report recomputed a residual check_modular has")
+def _count_calls(monkeypatch, *functions):
+    """Count calls to ``functions`` through every mtcat module that binds them."""
+    counts = {fn.__name__: 0 for fn in functions}
+    for fn in functions:
 
-    for name in ("coherence_summary", "ribbon_residual", "twist_weight_residual"):
-        monkeypatch.setattr(mtcat.io, name, recomputed)
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "mtcat" and vars(mod).get(fn.__name__) is fn:
+                monkeypatch.setattr(mod, fn.__name__, counted)
+    return counts
+
+
+def test_report_computes_each_quantity_once(fib, monkeypatch):
+    counts = _count_calls(monkeypatch, coherence_summary, quantum_dimensions, rigidity_scalar)
     assert all_pass(run_report(fib))
+    assert counts == {
+        "coherence_summary": 1,
+        "quantum_dimensions": 1,
+        "rigidity_scalar": fib.ring.size,
+    }
+
+
+def _strict_json(text):
+    """Parse ``text``, refusing the NaN and Infinity tokens that JSON does not have."""
+
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_report_on_singular_fusing_matrix(fib):
+    bad = fib.copy()
+    for e in (0, 1):
+        for f in (0, 1):
+            bad.F[(1, 1, 1, 1, e, f)] = np.ones((1, 1, 1, 1), dtype=complex)
+    report = run_report(bad)
+    assert report["verdict"] == "incoherent"
+    assert report["checks"]["rigidity"]["pass"] is False
+
+
+def test_report_on_invalid_ring_fails_every_check(fib):
+    ring = FusionRing(fib.ring.names, [0, 0], fib.ring.N)  # tau is not its own dual
+    report = run_report(CategoryData(ring=ring, F=fib.F, R=fib.R))
+    assert report["verdict"] == "incoherent"
+    for name, entry in report["checks"].items():
+        assert entry["residual"] is None and entry["pass"] is False, name
+    assert _strict_json(report_to_json(report))["residuals"] == {"ring": None}
 
 
 @pytest.mark.parametrize(
@@ -200,6 +249,7 @@ def test_nan_data_never_passes(fib, kind, key, nan_residuals):
     assert report["verdict"] == "incoherent"
     assert report["checks"]["modularity"]["pass"] is False
     assert not all_pass(report)
+    assert _strict_json(report_to_json(report))["verdict"] == "incoherent"
 
 
 def test_report_text_renders(fib):
@@ -238,6 +288,24 @@ def test_cli_verify_fails_on_broken_data(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path)]) == 1
     assert "incoherent" in capsys.readouterr().out
+
+
+def test_cli_verify_reports_vanishing_unit_channel_element(tmp_path, capsys):
+    # the fusing matrix of (tau, tau, tau, tau) stays invertible, so the file loads
+    path = tmp_path / "fib.json"
+    main(["gen", "fibonacci", "-o", str(path)])
+    doc = json.loads(path.read_text())
+    for row in doc["f_symbols"]:
+        if row[:6] == [1, 1, 1, 1, 0, 0]:
+            row[10:12] = [0.0, 0.0]
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    assert "verdict:  incoherent" in capsys.readouterr().out
+    assert main(["verify", str(path), "--json"]) == 1
+    report = _strict_json(capsys.readouterr().out)
+    assert report["verdict"] == "incoherent"
+    assert report["checks"]["rigidity"] == {"residual": None, "threshold": 1e-9, "pass": False}
+    assert report["matrices"]["dims"][1][0] is None  # NaN
 
 
 def test_cli_exit_code_2_on_garbage(tmp_path, capsys):

@@ -18,6 +18,9 @@ from mtcat import (
 )
 from mtcat.fusion_ring import fp_dimensions
 
+import reference_coherence as reference
+from conftest import bump_one_f_and_one_r, random_rep_a4_data
+
 PHI = (1 + np.sqrt(5)) / 2
 
 
@@ -104,6 +107,36 @@ def test_ribbon_residual_clean_and_perturbed(fib, catalog):
     for name, data in catalog.items():
         assert ribbon_residual(data) < 1e-12, name
     assert ribbon_residual(fib, twists=np.array([1.0, 1.0])) >= 0.5
+
+
+def test_array_helpers_match_channel_loops(catalog):
+    # the random Rep(A4) data has a 2 x 2 monodromy block on the channel (3, 3, 3)
+    datas = [random_rep_a4_data(7)]
+    for data in catalog.values():
+        datas += [data, bump_one_f_and_one_r(data)]
+    for data in datas:
+        want = reference.modular_loops(data)
+        rep = check_modular(data)
+        got = {
+            "twists": rep.twists,
+            "ribbon": rep.residuals["ribbon"],
+            "s_trace": rep.s_tilde.entries,
+            "s_balanced": s_matrix_balanced(data).entries,
+        }
+        assert ribbon_residual(data) == got["ribbon"], data.name
+        for key, value in want.items():
+            assert np.allclose(got[key], value, rtol=1e-12, atol=1e-15), (data.name, key)
+
+
+def test_ribbon_reads_multiplicity_blocks():
+    # with unit twists and identity braiding elsewhere, only the 2 x 2 block is off balance
+    data = random_rep_a4_data(7)
+    for key, block in data.R.items():
+        if key != (3, 3, 3):
+            data.R[key] = np.eye(len(block), dtype=complex)
+    M = data.R[(3, 3, 3)] @ data.R[(3, 3, 3)]
+    want = np.abs(np.eye(2) - M).max()
+    assert ribbon_residual(data, twists=np.ones(4)) == pytest.approx(want, rel=1e-12)
 
 
 # --- S and T matrices ----------------------------------------------------------
