@@ -441,15 +441,26 @@ def _terms(t: dict, *offsets: np.ndarray) -> np.ndarray:
 def _values(data: CategoryData, lay: _Layout, direction: str | None = None) -> np.ndarray:
     """F entries, then R entries for ``direction``, flat in ``_Layout`` order."""
     ring = data.ring
-    blocks = [data.f_block(*key) for key in admissible_f_keys(ring)]
+    blocks = _blocks(data.F, admissible_f_keys(ring), "F")
     if direction == "braid":
-        blocks += [data.r_block(*key) for key in admissible_r_keys(ring)]
+        blocks += _blocks(data.R, admissible_r_keys(ring), "R")
     elif direction == "inverse_braid":
         blocks += [_inverse(data.r_block(y, x, z)) for x, y, z in admissible_r_keys(ring)]
-    vals = np.concatenate([np.ravel(b) for b in blocks]).astype(complex, copy=False)
+    vals = np.concatenate([block.ravel() for block in blocks]).astype(complex, copy=False)
     if vals.size != (lay.f_size if direction is None else lay.size):
         raise InputError("F/R blocks do not have their admissible shapes")
     return vals
+
+
+def _blocks(table: dict, keys: list, kind: str) -> list:
+    """The blocks of ``keys``, looked up in one C-level loop.
+
+    A missing key raises IncompleteData naming it, as ``f_block`` does.
+    """
+    try:
+        return list(map(table.__getitem__, keys))
+    except KeyError as exc:
+        raise IncompleteData(exc.args[0], kind=kind) from None
 
 
 def _inverse(block: np.ndarray) -> np.ndarray:
@@ -550,17 +561,33 @@ def gauge_transform(data: CategoryData, gauge: GaugeTransform) -> CategoryData:
     if gauge.ring is not data.ring and gauge.ring != data.ring:
         raise InputError("gauge transform built for a different fusion ring")
     gauge.validate()
-    g = {v: gauge.matrix(*v) for v in fusion_vertices(data.ring)}
-    g_inv = {v: np.linalg.inv(mat) for v, mat in g.items()}
-    newF = {
-        (a, b, c, d, e, f): np.einsum(
-            "ij,kl,jlmn,mo,np->ikop",
-            g[b, c, e], g[a, e, d], block, g_inv[a, b, f], g_inv[f, c, d],
+    N = data.ring.N
+    # the vertex matrices stacked by size n; slot[v] is the place of vertex v in stack n
+    vertices = fusion_vertices(data.ring)
+    slot = np.zeros(N.shape, dtype=np.intp)
+    g, g_inv = {}, {}
+    for n in sorted({int(N[v]) for v in vertices}):
+        mine = [v for v in vertices if N[v] == n]
+        slot[tuple(np.array(mine).T)] = np.arange(len(mine))
+        g[n] = np.stack([gauge.matrix(*v) for v in mine])
+        g_inv[n] = np.linalg.inv(g[n])  # each vertex inverted once
+    groups = {}  # F keys by block shape; the blocks of one shape are conjugated together
+    for key, block in data.F.items():
+        groups.setdefault(block.shape, []).append(key)
+    newF = dict.fromkeys(data.F)  # keeps the key order of data.F
+    for (n1, n2, n3, n4), keys in groups.items():
+        a, b, c, d, e, f = np.array(keys).T
+        blocks = np.einsum(
+            "xij,xkl,xjlmn,xmo,xnp->xikop",
+            g[n1][slot[b, c, e]],
+            g[n2][slot[a, e, d]],
+            np.array([data.F[key] for key in keys]),
+            g_inv[n3][slot[a, b, f]],
+            g_inv[n4][slot[f, c, d]],
         )
-        for (a, b, c, d, e, f), block in data.F.items()
-    }
+        newF.update(zip(keys, blocks))
     newR = {
-        (a, b, c): g_inv[a, b, c].T @ block @ g[b, a, c].T
+        (a, b, c): g_inv[N[a, b, c]][slot[a, b, c]].T @ block @ g[N[b, a, c]][slot[b, a, c]].T
         for (a, b, c), block in data.R.items()
     }
     return CategoryData(

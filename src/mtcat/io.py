@@ -23,6 +23,7 @@ exact and reports are byte-reproducible.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from decimal import Decimal
@@ -45,6 +46,30 @@ CHECK_NAMES = ("pentagon", "hexagon", "triangle", "ribbon", "rigidity", "modular
 
 
 def category_to_dict(data: CategoryData) -> dict:
+    doc = _small_fields(data)
+    for name, table in (("f_symbols", data.F), ("r_symbols", data.R)):
+        doc[name] = [[*key, *mult, re, im] for key, mult, re, im in zip(*_symbol_entries(table))]
+    return doc
+
+
+def dumps(data: CategoryData) -> str:
+    """The canonical text: ``json.dumps(category_to_dict(data), indent=1, sort_keys=True)``.
+
+    The symbol tables are written row by row in that layout instead of
+    through the json encoder, which is pure Python when it indents.
+    """
+    texts = {
+        name: json.dumps(value, indent=1).replace("\n", "\n ")  # nested one level deeper
+        for name, value in _small_fields(data).items()
+    }
+    texts["f_symbols"] = _table_text(*_symbol_entries(data.F))
+    texts["r_symbols"] = _table_text(*_symbol_entries(data.R))
+    fields = (f" {json.dumps(name)}: {text}" for name, text in sorted(texts.items()))
+    return "{\n" + ",\n".join(fields) + "\n}"
+
+
+def _small_fields(data: CategoryData) -> dict:
+    """Every field of the file but the two symbol tables."""
     ring = data.ring
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -55,24 +80,7 @@ def category_to_dict(data: CategoryData) -> dict:
             [int(a), int(b), int(c), int(ring.N[a, b, c])]
             for (a, b, c) in np.argwhere(ring.N > 0)
         ],
-        "f_symbols": [],
-        "r_symbols": [],
     }
-    for key in sorted(data.F):
-        a, b, c, d, e, f = key
-        block = data.F[key]
-        for (al, be, ga, de), value in np.ndenumerate(block):
-            doc["f_symbols"].append(
-                [a, b, c, d, e, f, al + 1, be + 1, ga + 1, de + 1,
-                 float(value.real), float(value.imag)]
-            )
-    for key in sorted(data.R):
-        a, b, c = key
-        block = data.R[key]
-        for (al, be), value in np.ndenumerate(block):
-            doc["r_symbols"].append(
-                [a, b, c, al + 1, be + 1, float(value.real), float(value.imag)]
-            )
     if data.weights is not None:
         doc["weights"] = [[a, float(h)] for a, h in enumerate(data.weights)]
     if data.central_charge is not None:
@@ -80,8 +88,52 @@ def category_to_dict(data: CategoryData) -> dict:
     return doc
 
 
-def dumps(data: CategoryData) -> str:
-    return json.dumps(category_to_dict(data), indent=1, sort_keys=True)
+def _symbol_entries(table: dict) -> tuple[list, list, list, list]:
+    """The rows of an F or R table as four columns: key, 1-based multiplicity indices, re, im.
+
+    Keys are sorted and each block is read in C order, which is the row order
+    of a file.
+    """
+    keys = sorted(table)
+    blocks = [table[key] for key in keys]
+    shapes = [block.shape for block in blocks]
+    indices = {
+        shape: [tuple(i + 1 for i in idx) for idx in np.ndindex(shape)] for shape in set(shapes)
+    }
+    per_block = [indices[shape] for shape in shapes]
+    flat = [block.ravel() for block in blocks]
+    values = np.concatenate(flat, dtype=complex) if flat else np.empty(0, complex)
+    return (
+        list(itertools.chain.from_iterable(map(itertools.repeat, keys, map(len, per_block)))),
+        list(itertools.chain.from_iterable(per_block)),
+        values.real.tolist(),
+        values.imag.tolist(),
+    )
+
+
+def _table_text(keys: list, mults: list, re: list, im: list) -> str:
+    """A symbol table as ``json.dumps`` writes it one level deep with ``indent=1``."""
+    if not keys:
+        return "[]"
+    key_row = ",\n   ".join(["%s"] * len(keys[0]))
+    mult_row = ",\n   ".join(["%s"] * len(mults[0]))
+    mult_texts = {mult: mult_row % mult for mult in set(mults)}  # once per distinct tuple
+    rows = map(
+        "  [\n   {},\n   {},\n   {},\n   {}\n  ]".format,
+        map(key_row.__mod__, keys),
+        map(mult_texts.__getitem__, mults),
+        _float_texts(re),
+        _float_texts(im),
+    )
+    return "[\n" + ",\n".join(rows) + "\n ]"
+
+
+def _float_texts(values: list) -> list:
+    """Floats as the json encoder writes them: ``repr``, and NaN, Infinity, -Infinity."""
+    texts = list(map(repr, values))
+    for i in np.flatnonzero(~np.isfinite(values)):
+        texts[i] = json.dumps(values[i])
+    return texts
 
 
 def save(data: CategoryData, path) -> None:
@@ -91,7 +143,10 @@ def save(data: CategoryData, path) -> None:
 
 
 def content_hash(data: CategoryData) -> str:
-    """sha256 of the canonical serialization; the report provenance key."""
+    """sha256 of the canonical serialization; the report provenance key.
+
+    It equals the sha256 of a file written by :func:`save` without its final newline.
+    """
     return hashlib.sha256(dumps(data).encode()).hexdigest()
 
 
@@ -390,7 +445,7 @@ def report_to_text(report: dict) -> str:
     lines.append(f"{'check':<12} {'residual':>12} {'threshold':>12}  result")
     for cname, entry in report["checks"].items():
         res = entry["residual"]
-        res_s = "inf" if res is None else f"{res:.3e}"
+        res_s = "n/a" if res is None else f"{res:.3e}"  # null: not a finite number
         verdict = "pass" if entry["pass"] else "FAIL"
         lines.append(f"{cname:<12} {res_s:>12} {entry['threshold']:>12.1e}  {verdict}")
     lines.append("")

@@ -115,6 +115,15 @@ def test_missing_entry_raises_incomplete(fib):
     assert err.value.key == (1, 1, 1, 1, 0, 0)
 
 
+@pytest.mark.parametrize("direction", ["braid", "inverse_braid"])
+def test_missing_r_entry_raises_incomplete(catalog, direction):
+    bad = catalog["su2_k5"].copy()
+    del bad.R[(3, 2, 1)]
+    with pytest.raises(IncompleteData) as err:
+        hexagon_residual(bad, direction)
+    assert (err.value.key, err.value.kind) == ((3, 2, 1), "R")
+
+
 # --- fusing matrices ---------------------------------------------------------
 
 
@@ -188,6 +197,7 @@ def test_gauge_matches_dense_reference_with_multiplicity(seed):
     gauge = random_gauge(data.ring, seed)
     g = gauge.matrix(3, 3, 3)
     assert g.shape == (2, 2) and np.abs(g - np.diag(np.diag(g))).max() > 0.1  # non-abelian
+    assert len({block.shape for block in data.F.values()}) >= 2  # batches of several shapes
     got = gauge_transform(data, gauge)
     want = reference.gauge_transform(data, gauge)
     assert got.F.keys() == want.F.keys() and got.R.keys() == want.R.keys()

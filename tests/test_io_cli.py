@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import sys
@@ -13,10 +14,12 @@ from mtcat import (
     ValidationError,
     check_modular,
     dumps,
+    gauge_transform,
     load,
     loads,
     make,
     quantum_dimensions,
+    random_gauge,
     rigidity_scalar,
     run_report,
     save,
@@ -28,9 +31,12 @@ from mtcat.io import (
     all_pass,
     category_from_dict,
     category_to_dict,
+    content_hash,
     report_to_json,
     report_to_text,
 )
+
+from conftest import CATALOG, random_rep_a4_data
 
 
 @pytest.mark.parametrize(
@@ -69,6 +75,62 @@ def test_round_trip_whole_catalog(catalog):
     for name, data in catalog.items():
         back = loads(dumps(data))
         assert dumps(back) == dumps(data), name
+
+
+def _unusual_fibonacci(fib):
+    """A Fibonacci copy with the floats and the name characters json writes specially."""
+    odd = fib.copy()
+    odd.name = 'the "golden" anyon, φ'
+    odd.F[(1, 1, 1, 1, 0, 0)] = np.array(complex(np.nan, np.inf)).reshape(1, 1, 1, 1)
+    odd.F[(1, 1, 1, 1, 0, 1)] = np.array(complex(-np.inf, -0.0)).reshape(1, 1, 1, 1)
+    odd.F[(1, 1, 1, 1, 1, 1)] = np.array(complex(1e-300, 5e-324)).reshape(1, 1, 1, 1)
+    return odd
+
+
+@pytest.mark.parametrize("gauged", [False, True])
+@pytest.mark.parametrize(
+    "name", [name for name, _, _ in CATALOG] + ["random_rep_a4", "unusual_fibonacci"]
+)
+def test_dumps_is_the_json_encoder_layout(catalog, name, gauged):
+    if name == "random_rep_a4":
+        data = random_rep_a4_data(7)  # multiplicity indices up to 2
+    elif name == "unusual_fibonacci":
+        data = _unusual_fibonacci(catalog["fibonacci"])
+    else:
+        data = catalog[name]
+    if gauged:
+        with np.errstate(invalid="ignore"):
+            data = gauge_transform(data, random_gauge(data.ring, 0))
+    size = data.ring.size
+    for weights in (None, np.linspace(0.0, 0.9, size) if data.weights is None else data.weights):
+        for central in (None, 0.7 if data.central_charge is None else data.central_charge):
+            copy = CategoryData(
+                ring=data.ring, F=data.F, R=data.R,
+                weights=weights, central_charge=central, name=data.name,
+            )
+            assert dumps(copy) == json.dumps(category_to_dict(copy), indent=1, sort_keys=True)
+
+
+def test_content_hash_pinned(catalog):
+    # digests of the canonical text as json.dumps(indent=1, sort_keys=True) wrote it
+    assert content_hash(catalog["fibonacci"]) == (
+        "0b8ddbe82b333e337e4b56baa1b8398bfa462017befb1a9b005fdbc1589fad7d"
+    )
+    assert content_hash(catalog["su2_k3"]) == (
+        "2e42f9a0c99bec3d26a32279a101b08eb8869b56e737783c8aa41b77cc6abaaf"
+    )
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "su2_k3"])
+def test_content_hash_is_the_saved_file_hash(catalog, tmp_path, name):
+    data = gauge_transform(catalog[name], random_gauge(catalog[name].ring, 5))
+    path = tmp_path / "data.json"
+    save(data, path)
+    raw = path.read_bytes()
+    assert raw.endswith(b"}\n")
+    digest = hashlib.sha256(raw[:-1]).hexdigest()
+    assert content_hash(data) == digest
+    assert content_hash(load(path)) == digest  # the input_sha256 of mtcat verify
 
 
 def test_parse_error_names_location(tmp_path):
@@ -300,7 +362,12 @@ def test_cli_verify_reports_vanishing_unit_channel_element(tmp_path, capsys):
             row[10:12] = [0.0, 0.0]
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path)]) == 1
-    assert "verdict:  incoherent" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "verdict:  incoherent" in text
+    rows = {line.split()[0]: line.split()[1:] for line in text.splitlines() if line}
+    # a null residual: NaN for the ribbon, not computed for rigidity and modularity
+    for name in ("ribbon", "rigidity", "modularity"):
+        assert rows[name][0] == "n/a" and rows[name][-1] == "FAIL", name
     assert main(["verify", str(path), "--json"]) == 1
     report = _strict_json(capsys.readouterr().out)
     assert report["verdict"] == "incoherent"
