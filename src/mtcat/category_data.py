@@ -23,6 +23,7 @@ range in its shape is non-empty.  Multiplicity indices are 0-based in memory
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -44,10 +45,20 @@ def f_block_shape(ring: FusionRing, a, b, c, d, e, f):
 def admissible_f_keys(ring: FusionRing) -> list[FKey]:
     """All F keys whose four multiplicity ranges are non-empty, in lex order."""
     if getattr(ring, "_f_keys", None) is None:
-        Nb = ring.N > 0
-        mask = np.einsum("bce,aed,abf,fcd->abcdef", Nb, Nb, Nb, Nb, optimize=True)
-        ring._f_keys = [tuple(int(x) for x in row) for row in np.argwhere(mask)]
+        ring._f_keys = list(map(tuple, _f_key_array(ring).tolist()))
     return ring._f_keys
+
+
+def _f_key_array(ring: FusionRing) -> np.ndarray:
+    """The admissible F keys as a (keys, 6) array: those whose block has a row and a column."""
+
+    def build():
+        lay, shape = _layout(ring), (ring.size,) * 5
+        rows, cols = lay.rows.reshape(shape) > 0, lay.cols.reshape(shape) > 0
+        mask = rows[..., :, None] & cols[..., None, :]
+        return np.stack(np.unravel_index(np.flatnonzero(mask), mask.shape), axis=1)  # argwhere
+
+    return _cached(ring, "f_keys", build)
 
 
 def admissible_r_keys(ring: FusionRing) -> list[RKey]:
@@ -114,14 +125,18 @@ def validate_symbols(data: CategoryData, cond_tol: float = 1e-12) -> list[tuple]
     """
     problems = []
     ring = data.ring
+    N = ring.N
     want_f = set(admissible_f_keys(ring))
     have_f = set(data.F)
     for key in sorted(want_f - have_f):
         problems.append(("missing-F", key, "admissible F entry absent"))
     for key in sorted(have_f - want_f):
         problems.append(("extra-F", key, "F entry present for inadmissible tuple"))
-    for key in sorted(want_f & have_f):
-        shape = f_block_shape(ring, *key)
+    keys = admissible_f_keys(ring)
+    present = np.fromiter(map(have_f.__contains__, keys), bool, len(keys))
+    a, b, c, d, e, f = _f_key_array(ring)[present].T
+    shapes = zip(*(x.tolist() for x in (N[b, c, e], N[a, e, d], N[a, b, f], N[f, c, d])))
+    for key, shape in zip(compress(keys, present), shapes):
         if data.F[key].shape != shape:
             problems.append(("shape-F", key, f"block shape {data.F[key].shape}, expected {shape}"))
     want_r = set(admissible_r_keys(ring))
@@ -130,23 +145,35 @@ def validate_symbols(data: CategoryData, cond_tol: float = 1e-12) -> list[tuple]
         problems.append(("missing-R", key, "admissible R entry absent"))
     for key in sorted(have_r - want_r):
         problems.append(("extra-R", key, "R entry present for inadmissible tuple"))
-    for key in sorted(want_r & have_r):
-        a, b, c = key
-        shape = (int(ring.N[a, b, c]), int(ring.N[b, a, c]))
+    keys = [key for key in admissible_r_keys(ring) if key in have_r]
+    a, b, c = np.array(keys, dtype=int).reshape(-1, 3).T
+    shapes = list(zip(N[a, b, c].tolist(), N[b, a, c].tolist()))
+    square = [k for k, (n1, n2) in zip(keys, shapes) if data.R[k].shape == (n1, n2) and n1 == n2]
+    singular_r = set()
+    for shape in {data.R[k].shape for k in square}:  # one SVD call per block shape
+        group = [k for k in square if data.R[k].shape == shape]
+        stack = np.stack([data.R[k] for k in group])
+        singular_r.update(compress(group, _singular(stack, cond_tol)))
+    for key, shape in zip(keys, shapes):
         block = data.R[key]
         if block.shape != shape:
             problems.append(("shape-R", key, f"block shape {block.shape}, expected {shape}"))
-        elif shape[0] == shape[1] and shape[0] > 0:
-            sv = np.linalg.svd(block, compute_uv=False)
-            if sv[-1] <= cond_tol * max(sv[0], 1.0):
-                problems.append(("singular-R", key, "braiding block is not invertible"))
+        elif key in singular_r:
+            problems.append(("singular-R", key, "braiding block is not invertible"))
     if not problems:
-        for (a, b, c, d) in sorted({k[:4] for k in want_f}):
-            mat = f_matrix(data, a, b, c, d).matrix
-            sv = np.linalg.svd(mat, compute_uv=False)
-            if sv[-1] <= cond_tol * max(sv[0], 1.0):
-                problems.append(("singular-F", (a, b, c, d), "fusing matrix is not invertible"))
+        singular_f = []  # raveled (a,b,c,d)
+        for abcd, mats in _fusing_matrices(ring, _f_values(data)):
+            singular_f += abcd[_singular(mats, cond_tol)].tolist()
+        for x in sorted(singular_f):
+            key = tuple(int(i) for i in np.unravel_index(x, (ring.size,) * 4))
+            problems.append(("singular-F", key, "fusing matrix is not invertible"))
     return problems
+
+
+def _singular(mats: np.ndarray, cond_tol: float) -> np.ndarray:
+    """Which matrices of a stack are not invertible, by their singular values."""
+    sv = np.linalg.svd(mats, compute_uv=False)
+    return sv[:, -1] <= cond_tol * np.maximum(sv[:, 0], 1.0)
 
 
 @dataclass
@@ -239,14 +266,14 @@ def triangle_residual(data: CategoryData) -> float:
     (e, f) block and both unit isomorphism conventions demand it be exactly
     the identity in the canonical basis.
     """
+    return _triangle(data.ring, _f_values(data))
+
+
+def _triangle(ring: FusionRing, f: np.ndarray) -> float:
     worst = 0.0
-    for key, block in data.F.items():
-        a, b, c, _, _, _ = key
-        if UNIT not in (a, b, c):
-            continue
-        nr = block.shape[0] * block.shape[1]
-        nc = block.shape[2] * block.shape[3]
-        dev = np.abs(block.reshape(nr, nc) - np.eye(nr, nc)).max()
+    for abcd, mats in _fusing_matrices(ring, f):
+        unit = (np.array(np.unravel_index(abcd, (ring.size,) * 4))[:3] == UNIT).any(axis=0)
+        dev = np.abs(mats[unit] - np.eye(*mats.shape[1:])).max(initial=0.0)
         worst = np.maximum(worst, dev)  # unlike max(), keeps a NaN
     return float(worst)
 
@@ -259,8 +286,7 @@ def pentagon_residual(data: CategoryData) -> tuple[float, tuple]:
     q the (c,d) channel, p the (b,q) channel, r the (a,b) channel, s the
     (r,c) channel.  Ties resolve to the lexicographically smallest tuple.
     """
-    lay, chunks = _coherence_tables(data.ring, "pentagon")
-    return _worst_instance(chunks, _values(data, lay))
+    return _worst_instance(_coherence_tables(data.ring, "pentagon"), _f_values(data))
 
 
 def hexagon_residual(data: CategoryData, direction: str = "braid") -> tuple[float, tuple]:
@@ -273,8 +299,8 @@ def hexagon_residual(data: CategoryData, direction: str = "braid") -> tuple[floa
     """
     if direction not in ("braid", "inverse_braid"):
         raise InputError(f"unknown hexagon direction {direction!r}")
-    lay, chunks = _coherence_tables(data.ring, "hexagon")
-    return _worst_instance(chunks, _values(data, lay, direction))
+    vals = _with_r(data, _f_values(data), direction)
+    return _worst_instance(_coherence_tables(data.ring, "hexagon"), vals)
 
 
 # One engine evaluates both identities.  An identity is a table of instances
@@ -285,69 +311,118 @@ def hexagon_residual(data: CategoryData, direction: str = "braid") -> tuple[floa
 # vertex ("cdq" is the basis vector of vertex (c,d,q)); factors that share a
 # vertex contract over it.  The tables depend only on the ring and are built
 # one leading label at a time, so cost and memory follow the instance count.
+# Every cache below lives on the ring: gauge transforms and perturbed copies
+# share the ring object, so repeated evaluations reuse it.
 
 
-def _coherence_tables(ring: FusionRing, identity: str) -> tuple:
-    """The value layout and the instance tables of one identity, cached on the ring.
-
-    Gauge transforms and perturbed copies share the ring object, so repeated
-    evaluations reuse the tables.
-    """
+def _cached(ring: FusionRing, name: str, build):
     cache = ring._coherence_tables
-    if "layout" not in cache:
-        cache["layout"] = _Layout(ring.N)
-    if identity not in cache:
-        build = _pentagon_chunk if identity == "pentagon" else _hexagon_chunk
-        chunks = (build(ring.N, cache["layout"], a) for a in range(ring.size))
-        cache[identity] = [chunk for chunk in chunks if len(chunk[0])]
-    return cache["layout"], cache[identity]
+    if name not in cache:
+        cache[name] = build()
+    return cache[name]
+
+
+def _layout(ring: FusionRing) -> _Layout:
+    return _cached(ring, "layout", lambda: _Layout(ring.N))
+
+
+def _coherence_tables(ring: FusionRing, identity: str) -> list:
+    """The instance tables of one identity: (witnesses, lhs, rhs) per leading label."""
+    build = _pentagon_chunk if identity == "pentagon" else _hexagon_chunk
+    chunks = (build(ring.N, _layout(ring), a) for a in range(ring.size))
+    return _cached(ring, identity, lambda: [chunk for chunk in chunks if len(chunk[0])])
 
 
 class _Layout:
-    """Offsets into the value array of ``_values``: F blocks, then R blocks.
+    """Offsets into the value array of ``_with_r``: F blocks, then R blocks.
 
     Blocks follow admissible-key order and are C-ordered inside, so an offset
-    is arithmetic on the ring.  Arrays are indexed by raveled label tuples.
+    is arithmetic on the ring, done in int32.  Arrays are indexed by raveled
+    label tuples.
     """
 
     def __init__(self, N: np.ndarray):
-        self.m, self.N = len(N), N.ravel()
+        self.m = len(N)
         rows = np.einsum("bce,aed->abcde", N, N)  # right-tree slots per channel e
         cols = np.einsum("abf,fcd->abcdf", N, N)  # left-tree slots per channel f
         ncols = cols.sum(axis=-1, keepdims=True)
         size = rows.sum(axis=-1, keepdims=True) * ncols
         # first entry of the blocks (a,b,c,d;e,*): all rows of lower e precede them
         band = np.cumsum(size).reshape(size.shape) - size + (np.cumsum(rows, -1) - rows) * ncols
-        self.band, self.rows, self.cols = band.ravel(), rows.ravel(), cols.ravel()
-        self.col_start = (np.cumsum(cols, axis=-1) - cols).ravel()
         r_size = (N * N.transpose(1, 0, 2)).ravel()
         self.f_size = int(size.sum())
-        self.r_start = np.cumsum(r_size) - r_size + self.f_size
         self.size = self.f_size + int(r_size.sum())
+        if max(self.size, self.m**5) >= 2**31:
+            raise InputError("fusion ring too large for int32 value offsets")
+        self.band, self.rows, self.cols, self.N = (
+            x.ravel().astype(np.int32) for x in (band, rows, cols, N)
+        )
+        self.col_start = (np.cumsum(cols, axis=-1) - cols).ravel().astype(np.int32)
+        self.r_start = (np.cumsum(r_size) - r_size + self.f_size).astype(np.int32)
 
-    def f(self, t: dict, key: str) -> np.ndarray:
+    def f(self, t, key: str) -> np.ndarray:
         """Offset of the F[key] entry of every row; key names six label columns."""
         a, b, c, d, e, f = key
         al, be, ga, de = (t[v] for v in (b + c + e, a + e + d, a + b + f, f + c + d))
-        a, b, c, d, e, f = (t[x].astype(np.intp) for x in key)
-        m, N = self.m, self.N
+        a, b, c, d, e, f = (t[x].astype(np.int32) for x in key)
+        m, N, take = self.m, self.N, np.take  # take: faster than fancy indexing
         abcd = ((a * m + b) * m + c) * m + d
         row_band, col_band = abcd * m + e, abcd * m + f
-        return (
-            self.band[row_band]
-            + self.rows[row_band] * self.col_start[col_band]
-            + (al * N[(a * m + e) * m + d] + be) * self.cols[col_band]
-            + ga * N[(f * m + c) * m + d]
-            + de
-        )
+        offset = take(self.band, row_band)
+        offset = offset + take(self.rows, row_band) * take(self.col_start, col_band)
+        if al.any() or be.any():  # all zero without multiplicities
+            offset = offset + (al * take(N, (a * m + e) * m + d) + be) * take(self.cols, col_band)
+        if ga.any() or de.any():
+            offset = offset + ga * take(N, (f * m + c) * m + d) + de
+        return offset
 
-    def r(self, t: dict, key: str) -> np.ndarray:
+    def r(self, t, key: str) -> np.ndarray:
         """Offset of the R[key] entry of every row; key names three label columns."""
         x, y, z = key
         al, be = t[x + y + z], t[y + x + z]
-        x, y, z = (t[v].astype(np.intp) for v in key)
+        x, y, z = (t[v].astype(np.int32) for v in key)
         m = self.m
-        return self.r_start[(x * m + y) * m + z] + al * self.N[(y * m + x) * m + z] + be
+        start = np.take(self.r_start, (x * m + y) * m + z)
+        return start + al * np.take(self.N, (y * m + x) * m + z) + be
+
+
+def _fusing_matrices(ring: FusionRing, f: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every (a,b,c,d) fusing matrix of the F entries ``f``, stacked by shape.
+
+    Returns (raveled (a,b,c,d) in increasing order, stack of matrices) per
+    shape; rows are (e, alpha, beta) and columns (f, gamma, delta), as in
+    ``f_matrix``.
+    """
+    index = _cached(ring, "fusing", lambda: _fusing_index(ring))
+    return [(abcd, np.take(f, offsets)) for abcd, offsets in index]
+
+
+def _fusing_index(ring: FusionRing) -> list:
+    """Per fusing-matrix shape: the raveled (a,b,c,d) and the flat-F offset of every entry."""
+    lay, m = _layout(ring), ring.size
+    rows, cols = lay.rows.reshape(-1, m), lay.cols.reshape(-1, m)  # slots per channel e / f
+    nrows, ncols = rows.sum(axis=1), cols.sum(axis=1)
+    out = []
+    for shape in sorted(set(zip(nrows.tolist(), ncols.tolist()))):
+        if 0 in shape:  # no admissible block
+            continue
+        abcd = np.flatnonzero((nrows == shape[0]) & (ncols == shape[1]))
+        t = dict(zip("abcd", (x[:, None, None] for x in np.unravel_index(abcd, (m,) * 4))))
+        # the slot of a row within its channel e stands in for (alpha, beta): the
+        # offset is linear in beta with unit stride, and alpha = 0; columns alike
+        t["e"], t["aed"] = (x[:, :, None] for x in _slots(rows[abcd]))
+        t["f"], t["fcd"] = (x[:, None, :] for x in _slots(cols[abcd]))
+        t["bce"] = t["abf"] = np.zeros((), dtype=np.int32)
+        out.append((abcd, lay.f(t, "abcdef")))
+    return out
+
+
+def _slots(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Channel, and place within it, of every slot; ``counts`` rows have equal totals."""
+    flat = counts.ravel()
+    channel = np.repeat(np.tile(np.arange(counts.shape[1]), len(counts)), flat)
+    pos = np.arange(flat.sum()) - np.repeat(np.cumsum(flat) - flat, flat)
+    return channel.reshape(len(counts), -1), pos.reshape(len(counts), -1)
 
 
 def _pentagon_chunk(N: np.ndarray, lay: _Layout, a: int) -> tuple:
@@ -356,22 +431,20 @@ def _pentagon_chunk(N: np.ndarray, lay: _Layout, a: int) -> tuple:
     lhs: F[a,b,q,w;p,r] F[r,c,d,w;q,s]; rhs: the sum over t of
     F[b,c,d,p;q,t] F[a,t,d,w;p,s] F[a,b,c,s;t,r].
     """
-    E = N > 0
-    into = E.transpose(1, 2, 0)  # into[x, y] marks the z with N[z, x, y] > 0
+    out, mid, into = _channels(N)
     t = _grid(N, a, "bcdw")
-    t = _labels(t, "q", E[t["c"], t["d"]])
-    t = _labels(t, "p", E[t["b"], t["q"]] & E[t["a"], :, t["w"]])
-    t = _labels(t, "r", E[t["a"], t["b"]])
-    t = _labels(t, "s", E[t["r"], t["c"]] & into[t["d"], t["w"]])
+    t = _labels(t, "q", out(t["c"], t["d"]))
+    t = _labels(t, "p", out(t["b"], t["q"]) & mid(t["a"], t["w"]))
+    t = _labels(t, "r", out(t["a"], t["b"]))
+    t = _labels(t, "s", out(t["r"], t["c"]) & into(t["d"], t["w"]))
     t = _vectors(N, t, "cdq", "bqp", "apw", "abr", "rcs", "sdw")
-    t["instance"] = np.arange(len(t["a"]))
-    lhs = _vectors(N, t, "rqw")
-    rhs = _labels(t, "t", E[t["b"], t["c"]] & into[t["d"], t["p"]] & E[t["a"], :, t["s"]])
+    lhs = _vectors(N, _where(N, t, "rqw"), "rqw")
+    rhs = _labels(t, "t", out(t["b"], t["c"]) & into(t["d"], t["p"]) & mid(t["a"], t["s"]))
     rhs = _vectors(N, rhs, "bct", "tdp", "ats")
     return (
         np.stack([t[x] for x in "abcdwqprs"], axis=1),
-        _terms(lhs, lay.f(lhs, "abqwpr"), lay.f(lhs, "rcdwqs")),
-        _terms(rhs, lay.f(rhs, "bcdpqt"), lay.f(rhs, "atdwps"), lay.f(rhs, "abcstr")),
+        _terms(lhs, t, lay.f(lhs, "abqwpr"), lay.f(lhs, "rcdwqs")),
+        _terms(rhs, t, lay.f(rhs, "bcdpqt"), lay.f(rhs, "atdwps"), lay.f(rhs, "abcstr")),
     )
 
 
@@ -381,73 +454,132 @@ def _hexagon_chunk(N: np.ndarray, lay: _Layout, a: int) -> tuple:
     lhs: the sum over h of F[b,c,a,d;g,h] R[a,h,d] F[a,b,c,d;h,f];
     rhs: R[a,c,g] F[b,a,c,d;g,f] R[a,b,f].
     """
-    E = N > 0
-    into = E.transpose(1, 2, 0)
+    out, mid, into = _channels(N)
     t = _grid(N, a, "bcd")
-    t = _labels(t, "g", E[t["c"], t["a"]] & E[t["b"], :, t["d"]])
-    t = _labels(t, "f", E[t["a"], t["b"]] & into[t["c"], t["d"]])
+    t = _labels(t, "g", out(t["c"], t["a"]) & mid(t["b"], t["d"]))
+    t = _labels(t, "f", out(t["a"], t["b"]) & into(t["c"], t["d"]))
     t = _vectors(N, t, "cag", "bgd", "abf", "fcd")
-    t["instance"] = np.arange(len(t["a"]))
-    lhs = _labels(t, "h", E[t["b"], t["c"]] & into[t["a"], t["d"]] & E[t["a"], :, t["d"]])
+    lhs = _labels(t, "h", out(t["b"], t["c"]) & into(t["a"], t["d"]) & mid(t["a"], t["d"]))
     lhs = _vectors(N, lhs, "bch", "had", "ahd")
-    rhs = _vectors(N, t, "acg", "baf")
+    rhs = _vectors(N, _where(N, t, "acg", "baf"), "acg", "baf")
     return (
         np.stack([t[x] for x in "abcdgf"], axis=1),
-        _terms(lhs, lay.f(lhs, "bcadgh"), lay.r(lhs, "ahd"), lay.f(lhs, "abcdhf")),
-        _terms(rhs, lay.r(rhs, "acg"), lay.f(rhs, "bacdgf"), lay.r(rhs, "abf")),
+        _terms(lhs, t, lay.f(lhs, "bcadgh"), lay.r(lhs, "ahd"), lay.f(lhs, "abcdhf")),
+        _terms(rhs, t, lay.r(rhs, "acg"), lay.f(rhs, "bacdgf"), lay.r(rhs, "abf")),
     )
 
 
-def _grid(N: np.ndarray, a: int, labels: str) -> dict:
+class _Table:
+    """Columns of a table grown step by step without copying rows.
+
+    A step holds its new columns and ``row``, the parent row behind each of its
+    rows (None: the parent's rows).  A column of an earlier step is gathered
+    through the composed parent rows when first read; a 0-d column is one value.
+    """
+
+    def __init__(self, cols: dict, parent: "_Table | None" = None, row=None):
+        self.cols, self.parent, self.row = cols, parent, row
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name not in self.cols:
+            owner = self.parent
+            while name not in owner.cols:
+                owner = owner.parent
+            col, row = owner.cols[name], self.rows_in(owner)
+            self.cols[name] = col if col.ndim == 0 or row is None else np.take(col, row)
+        return self.cols[name]
+
+    def rows_in(self, owner: "_Table"):
+        """The row of ``owner`` behind each row here; None when the rows are the same."""
+        if owner is self:
+            return None
+        up, row = self.parent.rows_in(owner), self.row
+        return row if up is None else up if row is None else np.take(up, row)
+
+
+def _grid(N: np.ndarray, a: int, labels: str) -> _Table:
     """Label a followed by every tuple of the named labels, in lexicographic order."""
     small = np.min_scalar_type(len(N))
     grid = np.indices((len(N),) * len(labels), dtype=small).reshape(len(labels), -1)
-    return dict(zip(labels, grid), a=np.full(grid.shape[1], a, dtype=small))
+    return _Table(dict(zip(labels, grid), a=np.full(grid.shape[1], a, dtype=small)))
 
 
-def _labels(t: dict, name: str, allowed: np.ndarray) -> dict:
+def _labels(t: _Table, name: str, allowed: np.ndarray) -> _Table:
     """Extend every row by each label its row of ``allowed`` marks, in increasing order."""
-    row, label = np.nonzero(allowed)
-    return _grow(t, row, {name: label})
+    flat = np.flatnonzero(allowed)  # faster than a 2-d nonzero
+    row = flat // allowed.shape[1]
+    return _Table({name: _small(flat - row * allowed.shape[1])}, t, row)
 
 
-def _vectors(N: np.ndarray, t: dict, *vertices: str) -> dict:
-    """Extend every row by each choice of basis vector at the named vertices."""
-    sizes = [N[t[x], t[y], t[z]] for x, y, z in vertices]
+def _channels(N: np.ndarray) -> list:
+    """Row lookups by two label columns: out(x, y)[z], mid(x, z)[y], into(y, z)[x] are N > 0."""
+    m, E = len(N), N > 0
+    tables = [E.reshape(m * m, m), E.transpose(0, 2, 1).reshape(m * m, m),
+              E.transpose(1, 2, 0).reshape(m * m, m)]
+    return [lambda u, v, tab=tab: np.take(tab, u.astype(np.intp) * m + v, axis=0) for tab in tables]
+
+
+def _where(N: np.ndarray, t: _Table, *vertices: str) -> _Table:
+    """The rows of ``t`` on which every named vertex has a basis vector."""
+    keep = np.logical_and.reduce([_size(N, t, vertex) > 0 for vertex in vertices])
+    return _Table({}, t, None if keep.all() else np.flatnonzero(keep))
+
+
+def _vectors(N: np.ndarray, t: _Table, *vertices: str) -> _Table:
+    """Extend every row by each choice of basis vector at the named vertices.
+
+    Every named vertex must have a basis vector on every row.
+    """
+    if N.max() <= 1:  # each vertex has its one basis vector: the rows stay, every index is 0
+        return _Table(dict.fromkeys(vertices, np.zeros((), dtype=np.uint8)), t)
+    sizes = [_size(N, t, vertex) for vertex in vertices]
     count = np.prod(sizes, axis=0)
     row = np.repeat(np.arange(count.size), count)
     pos = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
     new = {}
     for vertex, size in reversed(list(zip(vertices, sizes))):
         size = size[row]
-        new[vertex] = pos % size
+        new[vertex] = _small(pos % size)
         pos = pos // size
-    return _grow(t, row, new)
+    return _Table(new, t, row)
 
 
-def _grow(t: dict, row: np.ndarray, new: dict) -> dict:
-    """Rows ``row`` of ``t`` plus the ``new`` columns, each in the smallest type that fits."""
-    out = {name: col[row] for name, col in t.items()}
-    for name, col in new.items():
-        out[name] = col.astype(np.min_scalar_type(col.max(initial=0)))
-    return out
+def _size(N: np.ndarray, t: _Table, vertex: str) -> np.ndarray:
+    """N at the named vertex, on every row."""
+    x, y, z = (t[v] for v in vertex)
+    return np.take(N, (x.astype(np.intp) * len(N) + y) * len(N) + z)  # faster than N[x, y, z]
 
 
-def _terms(t: dict, *offsets: np.ndarray) -> np.ndarray:
+def _small(col: np.ndarray) -> np.ndarray:
+    """The column in the smallest type that fits."""
+    return col.astype(np.min_scalar_type(col.max(initial=0)))
+
+
+def _terms(t: _Table, instances: _Table, *offsets: np.ndarray) -> np.ndarray:
     """Rows: the instance of each term, then one value offset per factor."""
-    return np.stack([t["instance"], *offsets]).astype(np.int32)
+    instance = t.rows_in(instances)
+    instance = np.arange(len(t["a"])) if instance is None else instance
+    return np.stack([instance, *offsets], dtype=np.int32, casting="same_kind")
 
 
-def _values(data: CategoryData, lay: _Layout, direction: str | None = None) -> np.ndarray:
-    """F entries, then R entries for ``direction``, flat in ``_Layout`` order."""
-    ring = data.ring
-    blocks = _blocks(data.F, admissible_f_keys(ring), "F")
-    if direction == "braid":
-        blocks += _blocks(data.R, admissible_r_keys(ring), "R")
-    elif direction == "inverse_braid":
-        blocks += [_inverse(data.r_block(y, x, z)) for x, y, z in admissible_r_keys(ring)]
+def _f_values(data: CategoryData) -> np.ndarray:
+    """The F entries, flat in ``_Layout`` order."""
+    blocks = _blocks(data.F, admissible_f_keys(data.ring), "F")
     vals = np.concatenate([block.ravel() for block in blocks]).astype(complex, copy=False)
-    if vals.size != (lay.f_size if direction is None else lay.size):
+    if vals.size != _layout(data.ring).f_size:
+        raise InputError("F/R blocks do not have their admissible shapes")
+    return vals
+
+
+def _with_r(data: CategoryData, f: np.ndarray, direction: str) -> np.ndarray:
+    """The F entries ``f``, then the R entries for ``direction``, flat in ``_Layout`` order."""
+    keys = admissible_r_keys(data.ring)
+    if direction == "braid":
+        blocks = _blocks(data.R, keys, "R")
+    else:
+        blocks = _inverses(_blocks(data.R, [(y, x, z) for x, y, z in keys], "R"))
+    vals = np.concatenate([f, *(block.ravel() for block in blocks)]).astype(complex, copy=False)
+    if vals.size != _layout(data.ring).size:
         raise InputError("F/R blocks do not have their admissible shapes")
     return vals
 
@@ -463,18 +595,26 @@ def _blocks(table: dict, keys: list, kind: str) -> list:
         raise IncompleteData(exc.args[0], kind=kind) from None
 
 
-def _inverse(block: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.inv(block)
-    except np.linalg.LinAlgError:
-        return np.full(block.shape, np.nan, dtype=complex)  # no inverse braiding
+def _inverses(blocks: list) -> list:
+    """The inverse of every block, one ``inv`` per shape; all NaN when there is none."""
+    out = list(blocks)
+    for shape in {block.shape for block in blocks}:
+        pick = [i for i, block in enumerate(blocks) if block.shape == shape]
+        try:
+            inverses = np.linalg.inv(np.stack([blocks[i] for i in pick]))
+        except np.linalg.LinAlgError:  # look for the singular blocks one at a time
+            nan = np.full(shape, np.nan, dtype=complex)
+            inverses = [nan] if len(pick) == 1 else [_inverses([blocks[i]])[0] for i in pick]
+        for i, inverse in zip(pick, inverses):
+            out[i] = inverse
+    return out
 
 
 def _sum(vals: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
     instance, *offsets = terms
-    product = vals[offsets[0]]
+    product = np.take(vals, offsets[0])
     for offset in offsets[1:]:
-        product = product * vals[offset]
+        product = product * np.take(vals, offset)
     return np.bincount(instance, product.real, n) + 1j * np.bincount(instance, product.imag, n)
 
 
@@ -601,10 +741,15 @@ def gauge_transform(data: CategoryData, gauge: GaugeTransform) -> CategoryData:
 
 
 def coherence_summary(data: CategoryData) -> dict:
-    """All coherence residuals in one dict (pentagon, hexagons, triangle)."""
-    pent, pent_at = pentagon_residual(data)
-    hex1, hex1_at = hexagon_residual(data, "braid")
-    hex2, hex2_at = hexagon_residual(data, "inverse_braid")
+    """All coherence residuals in one dict (pentagon, hexagons, triangle).
+
+    The F entries are gathered once and shared by every identity.
+    """
+    ring, f = data.ring, _f_values(data)
+    pent, pent_at = _worst_instance(_coherence_tables(ring, "pentagon"), f)
+    hexagon = _coherence_tables(ring, "hexagon")
+    hex1, hex1_at = _worst_instance(hexagon, _with_r(data, f, "braid"))
+    hex2, hex2_at = _worst_instance(hexagon, _with_r(data, f, "inverse_braid"))
     return {
         "pentagon": pent,
         "pentagon_worst": pent_at,
@@ -612,5 +757,5 @@ def coherence_summary(data: CategoryData) -> dict:
         "hexagon_braid_worst": hex1_at,
         "hexagon_inverse": hex2,
         "hexagon_inverse_worst": hex2_at,
-        "triangle": triangle_residual(data),
+        "triangle": _triangle(ring, f),
     }

@@ -76,7 +76,7 @@ class FusionRing:
         self.dual.setflags(write=False)
         self.N.setflags(write=False)
         # lazy caches for admissibility bookkeeping (ring is immutable)
-        self._coherence_tables = {}  # see category_data._coherence_tables
+        self._coherence_tables = {}  # see category_data._cached
         self._f_keys = None
         self._r_keys = None
 

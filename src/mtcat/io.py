@@ -462,6 +462,8 @@ def _num(x) -> float:
 
 def _fmt_c(pair) -> str:
     z = complex(_num(pair[0]), _num(pair[1]))
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        return "n/a"  # as in the residual column
     if abs(z.imag) < 5e-13:
         return f"{z.real:.8f}"
     return f"{z.real:.6f}{z.imag:+.6f}i"

@@ -1,10 +1,17 @@
-"""Reference oracles: per-instance loops and the dense gauge transform.
+"""Reference oracles: per-instance loops, the row-copying table builders, the
+per-tuple symbol validation and the dense gauge transform.
 
 These are the original block-by-block evaluations of the pentagon and both
 hexagons, one ``einsum`` per instance over the multiplicity indices.  They
 are slow (Python loops over every label tuple) but independent of the
 instance tables in ``mtcat.category_data``, so the tests compare the two:
-residuals to round-off and the same worst instance.  ``modular_loops``
+residuals to round-off and the same worst instance; ``triangle_residual``
+walks the unit-containing F blocks one at a time.  ``pentagon_tables`` and
+``hexagon_tables`` build the instance tables the first way they were built,
+copying every column at every step and computing offsets in the platform
+integer, against the copy-free tables of the package.  ``validate_symbols``
+checks one key, block and fusing matrix at a time, against the stacked
+checks of the package.  ``modular_loops``
 computes the twists, the ribbon residual and both S-matrix routes one label
 pair and channel at a time, against the array helpers of
 ``mtcat.ribbon_modular``.  ``gauge_transform`` conjugates each whole fusing
@@ -14,8 +21,25 @@ of the package.
 
 import numpy as np
 
-from mtcat.category_data import CategoryData, f_matrix
+from mtcat.category_data import (
+    CategoryData,
+    admissible_f_keys,
+    admissible_r_keys,
+    f_block_shape,
+    f_matrix,
+)
 from mtcat.ribbon_modular import monodromy, quantum_dimensions
+
+
+def triangle_residual(data: CategoryData) -> float:
+    worst = 0.0
+    for key, block in data.F.items():
+        if 0 not in key[:3]:
+            continue
+        nr = block.shape[0] * block.shape[1]
+        nc = block.shape[2] * block.shape[3]
+        worst = np.maximum(worst, np.abs(block.reshape(nr, nc) - np.eye(nr, nc)).max())
+    return float(worst)
 
 
 def pentagon_residual(data: CategoryData) -> tuple[float, tuple]:
@@ -208,3 +232,143 @@ def _block_diag(blocks):
         i += b.shape[0]
         j += b.shape[1]
     return out
+
+
+def validate_symbols(data: CategoryData, cond_tol: float = 1e-12) -> list[tuple]:
+    problems = []
+    ring = data.ring
+    want_f = set(admissible_f_keys(ring))
+    have_f = set(data.F)
+    for key in sorted(want_f - have_f):
+        problems.append(("missing-F", key, "admissible F entry absent"))
+    for key in sorted(have_f - want_f):
+        problems.append(("extra-F", key, "F entry present for inadmissible tuple"))
+    for key in sorted(want_f & have_f):
+        shape = f_block_shape(ring, *key)
+        if data.F[key].shape != shape:
+            problems.append(("shape-F", key, f"block shape {data.F[key].shape}, expected {shape}"))
+    want_r = set(admissible_r_keys(ring))
+    have_r = set(data.R)
+    for key in sorted(want_r - have_r):
+        problems.append(("missing-R", key, "admissible R entry absent"))
+    for key in sorted(have_r - want_r):
+        problems.append(("extra-R", key, "R entry present for inadmissible tuple"))
+    for key in sorted(want_r & have_r):
+        a, b, c = key
+        shape = (int(ring.N[a, b, c]), int(ring.N[b, a, c]))
+        block = data.R[key]
+        if block.shape != shape:
+            problems.append(("shape-R", key, f"block shape {block.shape}, expected {shape}"))
+        elif shape[0] == shape[1] and shape[0] > 0:
+            sv = np.linalg.svd(block, compute_uv=False)
+            if sv[-1] <= cond_tol * max(sv[0], 1.0):
+                problems.append(("singular-R", key, "braiding block is not invertible"))
+    if not problems:
+        for (a, b, c, d) in sorted({k[:4] for k in want_f}):
+            mat = f_matrix(data, a, b, c, d).matrix
+            sv = np.linalg.svd(mat, compute_uv=False)
+            if sv[-1] <= cond_tol * max(sv[0], 1.0):
+                problems.append(("singular-F", (a, b, c, d), "fusing matrix is not invertible"))
+    return problems
+
+
+def pentagon_tables(N, lay, a):
+    """(witnesses, lhs, rhs) of the pentagon instances with leading label a."""
+    E = N > 0
+    into = E.transpose(1, 2, 0)
+    t = _grid(N, a, "bcdw")
+    t = _labels(t, "q", E[t["c"], t["d"]])
+    t = _labels(t, "p", E[t["b"], t["q"]] & E[t["a"], :, t["w"]])
+    t = _labels(t, "r", E[t["a"], t["b"]])
+    t = _labels(t, "s", E[t["r"], t["c"]] & into[t["d"], t["w"]])
+    t = _vectors(N, t, "cdq", "bqp", "apw", "abr", "rcs", "sdw")
+    t["instance"] = np.arange(len(t["a"]))
+    lhs = _vectors(N, t, "rqw")
+    rhs = _labels(t, "t", E[t["b"], t["c"]] & into[t["d"], t["p"]] & E[t["a"], :, t["s"]])
+    rhs = _vectors(N, rhs, "bct", "tdp", "ats")
+    f = _offset_f
+    return (
+        np.stack([t[x] for x in "abcdwqprs"], axis=1),
+        _terms(lhs, f(lay, lhs, "abqwpr"), f(lay, lhs, "rcdwqs")),
+        _terms(rhs, f(lay, rhs, "bcdpqt"), f(lay, rhs, "atdwps"), f(lay, rhs, "abcstr")),
+    )
+
+
+def hexagon_tables(N, lay, a):
+    """(witnesses, lhs, rhs) of the hexagon instances with leading label a."""
+    E = N > 0
+    into = E.transpose(1, 2, 0)
+    t = _grid(N, a, "bcd")
+    t = _labels(t, "g", E[t["c"], t["a"]] & E[t["b"], :, t["d"]])
+    t = _labels(t, "f", E[t["a"], t["b"]] & into[t["c"], t["d"]])
+    t = _vectors(N, t, "cag", "bgd", "abf", "fcd")
+    t["instance"] = np.arange(len(t["a"]))
+    lhs = _labels(t, "h", E[t["b"], t["c"]] & into[t["a"], t["d"]] & E[t["a"], :, t["d"]])
+    lhs = _vectors(N, lhs, "bch", "had", "ahd")
+    rhs = _vectors(N, t, "acg", "baf")
+    f, r = _offset_f, _offset_r
+    return (
+        np.stack([t[x] for x in "abcdgf"], axis=1),
+        _terms(lhs, f(lay, lhs, "bcadgh"), r(lay, lhs, "ahd"), f(lay, lhs, "abcdhf")),
+        _terms(rhs, r(lay, rhs, "acg"), f(lay, rhs, "bacdgf"), r(lay, rhs, "abf")),
+    )
+
+
+def _offset_f(lay, t, key):
+    a, b, c, d, e, f = key
+    al, be, ga, de = (t[v] for v in (b + c + e, a + e + d, a + b + f, f + c + d))
+    a, b, c, d, e, f = (t[x].astype(np.intp) for x in key)
+    m, N = lay.m, lay.N.astype(np.intp)
+    abcd = ((a * m + b) * m + c) * m + d
+    row_band, col_band = abcd * m + e, abcd * m + f
+    return (
+        lay.band[row_band].astype(np.intp)
+        + lay.rows[row_band].astype(np.intp) * lay.col_start[col_band]
+        + (al * N[(a * m + e) * m + d] + be) * lay.cols[col_band]
+        + ga * N[(f * m + c) * m + d]
+        + de
+    )
+
+
+def _offset_r(lay, t, key):
+    x, y, z = key
+    al, be = t[x + y + z], t[y + x + z]
+    x, y, z = (t[v].astype(np.intp) for v in key)
+    m = lay.m
+    return lay.r_start[(x * m + y) * m + z].astype(np.intp) + al * lay.N[(y * m + x) * m + z] + be
+
+
+def _grid(N, a, labels):
+    small = np.min_scalar_type(len(N))
+    grid = np.indices((len(N),) * len(labels), dtype=small).reshape(len(labels), -1)
+    return dict(zip(labels, grid), a=np.full(grid.shape[1], a, dtype=small))
+
+
+def _labels(t, name, allowed):
+    row, label = np.nonzero(allowed)
+    return _grow(t, row, {name: label})
+
+
+def _vectors(N, t, *vertices):
+    sizes = [N[t[x], t[y], t[z]] for x, y, z in vertices]
+    count = np.prod(sizes, axis=0)
+    row = np.repeat(np.arange(count.size), count)
+    pos = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+    new = {}
+    for vertex, size in reversed(list(zip(vertices, sizes))):
+        size = size[row]
+        new[vertex] = pos % size
+        pos = pos // size
+    return _grow(t, row, new)
+
+
+def _grow(t, row, new):
+    """Rows ``row`` of ``t`` plus the ``new`` columns: every column is copied."""
+    out = {name: col[row] for name, col in t.items()}
+    for name, col in new.items():
+        out[name] = col.astype(np.min_scalar_type(col.max(initial=0)))
+    return out
+
+
+def _terms(t, *offsets):
+    return np.stack([t["instance"], *offsets]).astype(np.int32)

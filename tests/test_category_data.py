@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from mtcat import (
+    FusionRing,
     GaugeTransform,
     IncompleteData,
     InputError,
@@ -14,7 +17,10 @@ from mtcat import (
     random_gauge,
     rigidity_scalar,
     triangle_residual,
+    validate_ring,
+    validate_symbols,
 )
+from mtcat import category_data
 
 import reference_coherence as reference
 from conftest import CATALOG, bump_one_f_and_one_r, random_rep_a4_data
@@ -87,6 +93,49 @@ def test_engine_matches_reference_with_multiplicity():
         assert got[1] == want[1], identity
 
 
+def _vec_s3_ring():
+    """Fusion ring of the group S3: not commutative, so N[a,b,c] and N[b,a,c] differ."""
+    group = list(itertools.permutations(range(3)))
+    product = [[group.index(tuple(g[h[i]] for i in range(3))) for h in group] for g in group]
+    N = np.zeros((6, 6, 6), dtype=int)
+    for g in range(6):
+        for h in range(6):
+            N[g, h, product[g][h]] = 1
+    dual = [row.index(0) for row in product]
+    return FusionRing([str(g) for g in group], dual, N)
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in CATALOG] + ["rep_a4", "vec_s3"])
+def test_tables_match_reference(catalog, name):
+    # the copy-free tables against the row-copying builders: same rows, same order
+    rings = {"rep_a4": lambda: random_rep_a4_data(7).ring, "vec_s3": _vec_s3_ring}
+    ring = catalog[name].ring if name in catalog else rings[name]()
+    assert validate_ring(ring).ok
+    lay = category_data._layout(ring)
+    for identity, build in (
+        ("pentagon", reference.pentagon_tables),
+        ("hexagon", reference.hexagon_tables),
+    ):
+        want = [chunk for chunk in (build(ring.N, lay, a) for a in range(ring.size)) if len(chunk[0])]
+        got = category_data._coherence_tables(ring, identity)
+        assert len(got) == len(want), identity
+        for got_chunk, want_chunk in zip(got, want):
+            for got_table, want_table in zip(got_chunk, want_chunk):
+                assert np.array_equal(got_table, want_table), identity
+
+
+def test_inverse_braid_with_a_singular_block():
+    data = random_rep_a4_data(7)
+    data.R[(3, 3, 0)] = np.zeros((1, 1), dtype=complex)  # one of many 1x1 blocks
+    assert np.isnan(hexagon_residual(data, "inverse_braid")[0])
+    blocks = list(data.R.values())
+    for block, inverse in zip(blocks, category_data._inverses(blocks)):
+        if block.any():
+            assert np.array_equal(inverse, np.linalg.inv(block))
+        else:
+            assert inverse.shape == block.shape and np.isnan(inverse).all()
+
+
 def test_perturbed_pentagon_detected(fib):
     bad = fib.copy()
     bad.F[(1, 1, 1, 1, 0, 0)] = bad.F[(1, 1, 1, 1, 0, 0)] + 1e-3
@@ -99,6 +148,26 @@ def test_negated_r_breaks_hexagon(fib):
     bad = fib.copy()
     bad.R[(1, 1, 0)] = -bad.R[(1, 1, 0)]
     assert hexagon_residual(bad, "braid")[0] >= 0.1
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in CATALOG] + ["rep_a4"])
+def test_triangle_matches_reference(catalog, name):
+    data = catalog[name] if name in catalog else random_rep_a4_data(7)
+    for copy in (data, bump_one_f_and_one_r(data)):
+        assert triangle_residual(copy) == reference.triangle_residual(copy)
+        assert category_data.coherence_summary(copy)["triangle"] == triangle_residual(copy)
+
+
+def test_triangle_with_multiplicity():
+    data = random_rep_a4_data(7)
+    for key, block in data.F.items():
+        if 0 in key[:3]:  # make every unit block the identity, some of them 2x2
+            rows = block.shape[0] * block.shape[1]
+            data.F[key] = np.eye(rows, block.size // rows).reshape(block.shape).astype(complex)
+    assert data.F[(0, 3, 3, 3, 3, 3)].shape == (2, 1, 1, 2)
+    assert triangle_residual(data) == 0.0
+    data.F[(0, 3, 3, 3, 3, 3)][0, 0, 0, 1] = 0.5  # off the diagonal
+    assert triangle_residual(data) == 0.5
 
 
 def test_triangle_flags_bad_unit_entry(fib):
@@ -149,6 +218,57 @@ def test_f_matrix_ising_hadamard(ising):
 def test_f_matrix_inadmissible_tuple(ising):
     with pytest.raises(InputError, match="inadmissible"):
         f_matrix(ising, 1, 2, 2, 2)  # sigma x psi x psi cannot reach psi
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in CATALOG] + ["rep_a4"])
+def test_stacked_fusing_matrices_match_f_matrix(catalog, name):
+    data = catalog[name] if name in catalog else random_rep_a4_data(7)
+    m = data.ring.size
+    seen = []
+    for abcd, mats in category_data._fusing_matrices(data.ring, category_data._f_values(data)):
+        for x, mat in zip(abcd.tolist(), mats):
+            assert np.array_equal(mat, f_matrix(data, *np.unravel_index(x, (m,) * 4)).matrix)
+        seen += abcd.tolist()
+    assert sorted(seen) == sorted({np.ravel_multi_index(k[:4], (m,) * 4) for k in data.F})
+
+
+# name -> (base data, edits); an edit replaces one F or R block, or deletes it (None)
+DEFECTS = {
+    "missing_f": ("su2_k3", [("F", (1, 1, 1, 1, 0, 0), None)]),
+    "extra_f": ("su2_k3", [("F", (1, 1, 1, 1, 1, 1), np.ones((1, 1, 1, 1)))]),
+    "shape_f": ("su2_k3", [("F", (1, 1, 1, 1, 0, 0), np.ones((1, 1)))]),
+    "shape_r": ("su2_k3", [("R", (1, 1, 0), np.ones((1, 2)))]),
+    "singular_r": ("su2_k3", [("R", (1, 1, 0), np.zeros((1, 1)))]),
+    "shape_r_after_singular_r": (
+        "su2_k3",
+        [("R", (1, 2, 1), np.ones((1, 2))), ("R", (1, 1, 0), np.zeros((1, 1)))],
+    ),
+    "singular_f": ("su2_k3", [("F", (3, 3, 3, 3, 0, 0), np.zeros((1, 1, 1, 1)))]),
+    "singular_f_rep_a4": (  # 7x7, 2x2 and 1x1 fusing matrices; the 2x2 key comes first
+        "rep_a4",
+        [
+            ("F", (3, 3, 3, 3, 3, 3), np.zeros((2, 2, 2, 2))),
+            ("F", (3, 3, 0, 0, 3, 0), np.zeros((1, 1, 1, 1))),
+            ("F", (0, 3, 3, 3, 3, 3), np.zeros((2, 1, 1, 2))),
+        ],
+    ),
+    "singular_r_rep_a4": ("rep_a4", [("R", (3, 3, 3), np.ones((2, 2)))]),
+}
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in CATALOG] + ["rep_a4", *DEFECTS])
+def test_validate_symbols_matches_reference(catalog, name):
+    base, edits = DEFECTS.get(name, (name, []))
+    data = (catalog[base] if base in catalog else random_rep_a4_data(7)).copy()
+    for kind, key, block in edits:
+        table = data.F if kind == "F" else data.R
+        if block is None:
+            del table[key]
+        else:
+            table[key] = block.astype(complex)
+    problems = validate_symbols(data)
+    assert problems == reference.validate_symbols(data)
+    assert bool(problems) == bool(edits)
 
 
 def test_f_matrices_invertible(catalog):

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,11 +371,34 @@ def test_cli_verify_reports_vanishing_unit_channel_element(tmp_path, capsys):
     # a null residual: NaN for the ribbon, not computed for rigidity and modularity
     for name in ("ribbon", "rigidity", "modularity"):
         assert rows[name][0] == "n/a" and rows[name][-1] == "FAIL", name
+    # the dims/twists table: tau's dimension and twist are NaN
+    table = text[text.index("fp_dim"):]
+    assert "nan" not in table and rows["1"][0] == "n/a" and rows["1"][-1] == "n/a"
     assert main(["verify", str(path), "--json"]) == 1
     report = _strict_json(capsys.readouterr().out)
     assert report["verdict"] == "incoherent"
     assert report["checks"]["rigidity"] == {"residual": None, "threshold": 1e-9, "pass": False}
     assert report["matrices"]["dims"][1][0] is None  # NaN
+
+
+def test_cli_verify_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs 10-13 ms of every CLI process, and np.unique imports it
+    path = tmp_path / "su2_k3.json"
+    main(["gen", "su2_level", "--level", "3", "-o", str(path)])
+    code = (
+        "import sys\n"
+        "from mtcat.cli import main\n"
+        f"status = main(['verify', {str(path)!r}, '--json'])\n"
+        "print(status, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_cli_exit_code_2_on_garbage(tmp_path, capsys):
