@@ -190,13 +190,7 @@ def f_matrix(data: CategoryData, a, b, c, d) -> LabeledMatrix:
     ring = data.ring
     a, b, c, d = (ring.index(x) for x in (a, b, c, d))
     N = ring.N
-    es = [e for e in range(ring.size) if N[b, c, e] and N[a, e, d]]
-    fs = [f for f in range(ring.size) if N[a, b, f] and N[f, c, d]]
-    if not es or not fs:
-        raise InputError(
-            f"tuple ({a},{b},{c},{d}) is inadmissible: "
-            + ("right-tree fusion space is empty" if not es else "left-tree fusion space is empty")
-        )
+    es, fs = _tree_channels(ring, a, b, c, d)
     rows = [(e, al, be) for e in es for al in range(N[b, c, e]) for be in range(N[a, e, d])]
     cols = [(f, ga, de) for f in fs for ga in range(N[a, b, f]) for de in range(N[f, c, d])]
     mat = np.zeros((len(rows), len(cols)), dtype=complex)
@@ -213,6 +207,19 @@ def f_matrix(data: CategoryData, a, b, c, d) -> LabeledMatrix:
     return LabeledMatrix(mat, rows, cols)
 
 
+def _tree_channels(ring: FusionRing, a, b, c, d) -> tuple[list, list]:
+    """The channels e of the right tree and f of the left tree; InputError if either is empty."""
+    N = ring.N
+    es = [e for e in range(ring.size) if N[b, c, e] and N[a, e, d]]
+    fs = [f for f in range(ring.size) if N[a, b, f] and N[f, c, d]]
+    if not es or not fs:
+        raise InputError(
+            f"tuple ({a},{b},{c},{d}) is inadmissible: "
+            + ("right-tree fusion space is empty" if not es else "left-tree fusion space is empty")
+        )
+    return es, fs
+
+
 def rigidity_scalar(data: CategoryData, a, tol: float = 1e-12) -> complex:
     """Unit-to-unit element of the fusing matrix of (a, dual(a), a, a).
 
@@ -220,15 +227,11 @@ def rigidity_scalar(data: CategoryData, a, tol: float = 1e-12) -> complex:
     nonzero for coherent data, and its reciprocal is the categorical
     dimension (a sign or phase times the positive Perron dimension).
     """
-    ring = data.ring
-    a = ring.index(a)
-    lm = f_matrix(data, a, int(ring.dual[a]), a, a)
-    try:
-        i = lm.row_index.index((UNIT, 0, 0))
-        j = lm.col_index.index((UNIT, 0, 0))
-    except ValueError:
-        raise RigidityDegenerate(f"label {a} has no unit channel with its dual") from None
-    value = complex(lm.matrix[i, j])
+    a = data.ring.index(a)
+    elements = _unit_elements(data)
+    if a not in elements:
+        raise RigidityDegenerate(f"label {a} has no unit channel with its dual")
+    value = elements[a]
     if abs(value) < tol:
         raise RigidityDegenerate(
             f"unit-channel fusing element for label {a} has modulus {abs(value):.3e}"
@@ -245,14 +248,86 @@ def f_inverse_unit_check(data: CategoryData, a) -> float:
     """
     ring = data.ring
     a = ring.index(a)
-    lm = f_matrix(data, a, int(ring.dual[a]), a, a)
-    i = lm.row_index.index((UNIT, 0, 0))
-    j = lm.col_index.index((UNIT, 0, 0))
+    if not _unit_channel(ring)[a]:
+        raise RigidityDegenerate(f"label {a} has no unit channel with its dual")
+    mat = next(mats[labels == a][0] for labels, mats in _pairing_matrices(data) if a in labels)
     try:
-        inv = np.linalg.inv(lm.matrix)
+        inv = np.linalg.inv(mat)
     except np.linalg.LinAlgError:
         raise InputError(f"fusing matrix of ({a}, dual, {a}, {a}) is singular") from None
-    return float(abs(inv[j, i] - lm.matrix[i, j]))
+    return float(abs(inv[0, 0] - mat[0, 0]))
+
+
+# The fusing matrix of (a, dual(a), a, a) is the pairing matrix of label a.  Its
+# rows and columns start with the channel e = f = unit, so when the unit is a
+# channel of both trees the unit-to-unit element is entry (0, 0).
+
+
+def _pairing_matrices(data: CategoryData) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every label's pairing matrix from the stacked fusing view: (labels, stack) per shape.
+
+    Only the F blocks of the pairing matrices are gathered.
+    """
+    keys, size, index = _cached(data.ring, "pairing", lambda: _pairing_index(data.ring))
+    vals = np.concatenate([block.ravel() for block in _blocks(data.F, keys, "F")])
+    if vals.size != size:
+        raise InputError("F/R blocks do not have their admissible shapes")
+    return [(labels, np.take(vals, offsets)) for labels, offsets in index]
+
+
+def _pairing_index(ring: FusionRing) -> tuple[list, int, list]:
+    """The F keys of the pairing matrices, their number of entries, and per matrix shape
+    the labels and the offset of every matrix entry among those entries."""
+    m, N = ring.size, ring.N
+    keys = _f_key_array(ring)
+    a, b, c, d, e, f = keys.T
+    need = (b == ring.dual[a]) & (c == a) & (d == a)
+    kept = np.flatnonzero(np.repeat(need, N[b, c, e] * N[a, e, d] * N[a, b, f] * N[f, c, d]))
+    labels = np.arange(m)
+    pairing = ((labels * m + ring.dual) * m + labels) * m + labels  # raveled (a, a', a, a)
+    index, found = [], np.zeros(m, dtype=bool)
+    for abcd, offsets in _cached(ring, "fusing", lambda: _fusing_index(ring)):
+        pos = np.minimum(np.searchsorted(abcd, pairing), len(abcd) - 1)
+        hit = abcd[pos] == pairing
+        found |= hit
+        if hit.any():  # flat-F offsets to offsets among the kept entries
+            index.append((labels[hit], np.searchsorted(kept, offsets[pos[hit]])))
+    if not found.all():  # an empty tree, possible only on an invalid ring
+        a = int(np.argmin(found))
+        _tree_channels(ring, a, int(ring.dual[a]), a, a)  # raises
+    return list(map(tuple, keys[need].tolist())), len(kept), index
+
+
+def _unit_channel(ring: FusionRing) -> np.ndarray:
+    """Whether the unit is a channel of both trees of each label's pairing matrix."""
+    N, a, dual = ring.N, np.arange(ring.size), ring.dual
+    rows = (N[dual, a, UNIT] > 0) & (N[a, UNIT, a] > 0)  # e = unit
+    return rows & (N[a, dual, UNIT] > 0) & (N[UNIT, a, a] > 0)  # and f = unit
+
+
+def _unit_elements(data: CategoryData) -> dict[int, complex]:
+    """label -> unit-to-unit element of its pairing matrix, for the labels with a unit channel."""
+    unit = _unit_channel(data.ring)
+    elements = {}
+    for labels, mats in _pairing_matrices(data):
+        pick = unit[labels]
+        elements.update(zip(labels[pick].tolist(), mats[pick, 0, 0].tolist()))
+    return elements
+
+
+def _inverse_unit_checks(data: CategoryData) -> np.ndarray:
+    """``f_inverse_unit_check`` of every label, one ``inv`` per matrix shape.
+
+    NaN for a singular matrix and for a label without a unit channel.
+    """
+    unit = _unit_channel(data.ring)
+    out = np.full(data.ring.size, np.nan)
+    for labels, mats in _pairing_matrices(data):
+        inverses = np.stack(_inverses(list(mats)))
+        gaps = (inverses[:, 0, 0] - mats[:, 0, 0]).tolist()
+        out[labels] = list(map(abs, gaps))  # abs() of one entry: np.abs may round otherwise
+    out[~unit] = np.nan
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,14 @@ from decimal import Decimal
 import numpy as np
 
 from . import __version__
-from .category_data import CategoryData, f_block_shape, f_inverse_unit_check, validate_symbols
+from .category_data import CategoryData, _inverse_unit_checks, validate_symbols
 from .errors import InputError, ParseError, SchemaError, ValidationError
 from .fusion_ring import FusionRing, validate_ring
 from .ribbon_modular import COHERENCE_TOL, DET_TOL, check_modular
 
 SCHEMA_VERSION = 1
 RIGIDITY_FLOOR = 1e-6
+MAX_MULTIPLICITY = 2**31 - 1  # the coherence tables index with int32
 CHECK_NAMES = ("pentagon", "hexagon", "triangle", "ribbon", "rigidity", "modularity")
 
 
@@ -169,6 +170,8 @@ def loads(text: str) -> CategoryData:
         doc = json.loads(text, parse_constant=Decimal)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # too many digits, or nesting too deep
+        raise ParseError(str(exc)) from None
     return category_from_dict(doc)
 
 
@@ -197,6 +200,8 @@ def category_from_dict(doc) -> CategoryData:
         seen.add((a, b, c))
         if mult < 0:
             raise SchemaError(f"fusion multiplicity at ({a},{b},{c}) is negative")
+        if mult > MAX_MULTIPLICITY:
+            raise SchemaError(f"fusion multiplicity at ({a},{b},{c}) exceeds {MAX_MULTIPLICITY}")
         N[a, b, c] = mult
 
     ring = FusionRing(labels, dual, N)
@@ -206,59 +211,14 @@ def category_from_dict(doc) -> CategoryData:
             "fusion ring invariants violated:\n" + str(report), report.violations
         )
 
-    F = {}
-    for row in _expect(doc, "f_symbols", list):
-        if not isinstance(row, list) or len(row) != 12:
-            raise SchemaError(f"f_symbols row must have 12 entries, got {row!r}")
-        a, b, c, d, e, f = (_as_int(x, "f_symbols") for x in row[:6])
-        al, be, ga, de = (_as_int(x, "f_symbols") for x in row[6:10])
-        _check_range((a, b, c, d, e, f), m, "f_symbols")
-        shape = f_block_shape(ring, a, b, c, d, e, f)
-        if 0 in shape:
-            raise SchemaError(f"f_symbols entry for inadmissible tuple ({a},{b},{c},{d},{e},{f})")
-        key = (a, b, c, d, e, f)
-        if key not in F:
-            F[key] = np.full(shape, np.nan, dtype=complex)
-        idx = (al - 1, be - 1, ga - 1, de - 1)
-        if not all(0 <= i < n for i, n in zip(idx, shape)):
-            raise SchemaError(
-                f"multiplicity index ({al},{be},{ga},{de}) out of range for {key}"
-            )
-        if not np.isnan(F[key][idx].real):
-            raise SchemaError(f"duplicate f_symbols key {key + (al, be, ga, de)}")
-        F[key][idx] = complex(_as_number(row[10], "f_symbols"), _as_number(row[11], "f_symbols"))
-    for key, block in F.items():
-        if np.isnan(block.real).any():
-            raise SchemaError(f"f_symbols block {key} is only partially specified")
-
-    R = {}
-    for row in _expect(doc, "r_symbols", list):
-        if not isinstance(row, list) or len(row) != 7:
-            raise SchemaError(f"r_symbols row must have 7 entries, got {row!r}")
-        a, b, c = (_as_int(x, "r_symbols") for x in row[:3])
-        al, be = (_as_int(x, "r_symbols") for x in row[3:5])
-        _check_range((a, b, c), m, "r_symbols")
-        shape = (int(N[a, b, c]), int(N[b, a, c]))
-        if 0 in shape:
-            raise SchemaError(f"r_symbols entry for inadmissible tuple ({a},{b},{c})")
-        key = (a, b, c)
-        if key not in R:
-            R[key] = np.full(shape, np.nan, dtype=complex)
-        idx = (al - 1, be - 1)
-        if not all(0 <= i < n for i, n in zip(idx, shape)):
-            raise SchemaError(f"multiplicity index ({al},{be}) out of range for {key}")
-        if not np.isnan(R[key][idx].real):
-            raise SchemaError(f"duplicate r_symbols key {key + (al, be)}")
-        R[key][idx] = complex(_as_number(row[5], "r_symbols"), _as_number(row[6], "r_symbols"))
-    for key, block in R.items():
-        if np.isnan(block.real).any():
-            raise SchemaError(f"r_symbols block {key} is only partially specified")
+    F = _symbol_table(doc, "f_symbols", ring)
+    R = _symbol_table(doc, "r_symbols", ring)
 
     weights = None
     if "weights" in doc:
         weights = np.zeros(m)
         got = set()
-        for row in doc["weights"]:
+        for row in _expect(doc, "weights", list):
             if not isinstance(row, list) or len(row) != 2:
                 raise SchemaError(f"weights row must be [label, h], got {row!r}")
             a = _as_int(row[0], "weights")
@@ -304,9 +264,15 @@ def _as_int(x, where):
 
 
 def _as_number(x, where):
-    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
-        raise SchemaError(f"{where}: expected a finite number, got {x!r}")
-    return float(x)
+    if not isinstance(x, bool) and isinstance(x, (int, float)):
+        try:
+            value = float(x)
+        except OverflowError:  # an integer beyond the largest float
+            pass
+        else:
+            if math.isfinite(value):
+                return value
+    raise SchemaError(f"{where}: expected a finite number, got {x!r}")
 
 
 def _int_row(row, n, where):
@@ -319,6 +285,138 @@ def _check_range(indices, m, where):
     for i in indices:
         if not 0 <= i < m:
             raise SchemaError(f"{where}: label index {i} out of range 0..{m - 1}")
+
+
+# The rows of a symbol table are read as columns: every check is an array mask
+# over all rows, and only the first flagged row is looked at on its own, to
+# raise the error that reading the rows one by one would raise there.  Per
+# table: the number of label entries of a row and, for each multiplicity
+# index, the positions of the three labels of the fusion vertex that bounds it.
+_TABLES = {
+    "f_symbols": (6, ((1, 2, 4), (0, 4, 3), (0, 1, 5), (5, 2, 3))),  # N[b,c,e] ... N[f,c,d]
+    "r_symbols": (3, ((0, 1, 2), (1, 0, 2))),  # N[a,b,c], N[b,a,c]
+}
+
+
+def _symbol_table(doc, where: str, ring: FusionRing) -> dict:
+    """The F or R blocks of ``doc[where]``, checked and gathered without a step per row.
+
+    Blocks are in the order their keys first appear; each is a view of the
+    stack of all blocks of its shape.
+    """
+    rows = _expect(doc, where, list)
+    n_key, vertices = _TABLES[where]
+    ints, values, finite = _columns(rows, n_key + len(vertices))
+    m, N = ring.size, ring.N
+    labels, mults = ints[:n_key], ints[n_key:] - 1
+    in_range = ((labels >= 0) & (labels < m)).all(axis=0)
+    labels = np.where(in_range, labels, 0)  # keeps the look-ups in bounds; the row is flagged
+    shape = np.stack([N[labels[i], labels[j], labels[k]] for i, j, k in vertices])
+    ok = in_range & ((mults >= 0) & (mults < shape)).all(axis=0)  # no index fits an empty range
+    key, pos = labels[0], mults[0]  # raveled label tuple, and entry within its block
+    for i in range(1, n_key):
+        key = key * m + labels[i]
+    for i in range(1, len(vertices)):
+        pos = pos * shape[i] + mults[i]
+    order = np.flatnonzero(ok)
+    order = order[np.lexsort((pos[order], key[order]))]  # stable: the first of equal rows leads
+    repeat = (key[order][1:] == key[order][:-1]) & (pos[order][1:] == pos[order][:-1])
+    duplicate = np.zeros(len(ok), dtype=bool)
+    duplicate[order[1:][repeat]] = True
+    first = _first(~ok | duplicate | ~finite)  # len(ok) when only a row after those is bad
+    if first < len(rows):
+        _raise_row_error(where, rows[first], ring, first < len(ok) and duplicate[first])
+    if not len(order):
+        return {}
+
+    # every row is a distinct entry of an admissible block: sorted, the blocks lie end to end
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    first_row = np.minimum.reduceat(order, starts)
+    shapes = shape[:, order[starts]]
+    sizes = shapes.prod(axis=0)
+    partial = np.flatnonzero(np.diff(np.r_[starts, len(order)]) != sizes)
+    if len(partial):
+        g = partial[np.argmin(first_row[partial])]
+        bad = tuple(ints[:n_key, order[starts[g]]].tolist())
+        raise SchemaError(f"{where} block {bad} is only partially specified")
+    groups, stacks = [], []
+    for block_shape in sorted(set(map(tuple, shapes.T.tolist()))):
+        g = np.flatnonzero((shapes == np.array(block_shape)[:, None]).all(axis=0))
+        gather = order[starts[g][:, None] + np.arange(sizes[g[0]])]
+        groups.append(g)
+        stacks.append(np.take(values, gather).reshape(len(g), *block_shape))
+    groups = np.concatenate(groups)
+    keys = map(tuple, ints[:n_key, order[starts[groups]]].T.tolist())
+    items = list(zip(keys, itertools.chain.from_iterable(stacks)))  # views of the stacks
+    return dict(map(items.__getitem__, np.argsort(first_row[groups]).tolist()))
+
+
+def _columns(rows: list, n_int: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The integer entries (one row per column), the complex values, and which values are finite.
+
+    Rows are read up to the first that is not a list of ``n_int`` integers and
+    two more entries; a value that is not a finite number reads as NaN.
+    """
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {n_int + 2}):
+        rows = rows[: _first([not isinstance(r, list) or len(r) != n_int + 2 for r in rows])]
+    cols = list(zip(*rows)) or [()] * (n_int + 2)
+    if not set(map(type, itertools.chain.from_iterable(cols[:n_int]))) <= {int}:
+        flat = list(itertools.chain.from_iterable(cols[:n_int]))
+        is_int = np.fromiter(map(isinstance, flat, itertools.repeat(int)), dtype=bool)
+        is_int &= ~np.fromiter(map(isinstance, flat, itertools.repeat(bool)), dtype=bool)
+        stop = _first(~is_int.reshape(n_int, -1).all(axis=0))
+        cols = [col[:stop] for col in cols]
+    try:
+        ints = np.array(cols[:n_int], dtype=np.int64).reshape(n_int, -1)
+    except OverflowError:  # 2**63 or more: out of range as a label and as an index
+        ints = np.array([[min(max(x, -(2**62)), 2**62) for x in col] for col in cols[:n_int]])
+    try:
+        if not set(map(type, itertools.chain.from_iterable(cols[n_int:]))) <= {int, float}:
+            raise TypeError
+        re, im = np.array(cols[n_int:], dtype=float).reshape(2, -1)
+    except (TypeError, OverflowError):  # look at each value
+        re, im = (np.array([_number_or_nan(x) for x in col], dtype=float) for col in cols[n_int:])
+    values = np.empty(len(re), dtype=complex)
+    values.real, values.imag = re, im
+    return ints, values, np.isfinite(re) & np.isfinite(im)
+
+
+def _first(flags) -> int:
+    """Index of the first true flag, or the number of flags."""
+    hits = np.flatnonzero(flags)
+    return int(hits[0]) if len(hits) else len(flags)
+
+
+def _number_or_nan(x) -> float:
+    """``x`` as ``_as_number`` reads it, or NaN when it is not a finite number."""
+    try:
+        return _as_number(x, "")
+    except SchemaError:
+        return math.nan
+
+
+def _raise_row_error(where: str, row, ring: FusionRing, duplicate: bool):
+    """Raise the error of a flagged row: its checks in the order a row is read."""
+    n_key, vertices = _TABLES[where]
+    width = n_key + len(vertices) + 2
+    if not isinstance(row, list) or len(row) != width:
+        raise SchemaError(f"{where} row must have {width} entries, got {row!r}")
+    ints = [_as_int(x, where) for x in row[: width - 2]]
+    key, mult = tuple(ints[:n_key]), tuple(ints[n_key:])
+    _check_range(key, ring.size, where)
+    shape = [ring.N[key[i], key[j], key[k]] for i, j, k in vertices]
+    if 0 in shape:
+        raise SchemaError(f"{where} entry for inadmissible tuple ({','.join(map(str, key))})")
+    if not all(1 <= i <= n for i, n in zip(mult, shape)):
+        raise SchemaError(
+            f"multiplicity index ({','.join(map(str, mult))}) out of range for {key}"
+        )
+    if duplicate:
+        raise SchemaError(f"duplicate {where} key {key + mult}")
+    for x in row[width - 2 :]:
+        _as_number(x, where)
+    raise AssertionError(f"{where} row {row!r} was flagged but passes every check")
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +503,8 @@ def _one_check(data, rep, name, tol):
         degenerate = not np.isfinite(dims).all() or (abs(dims) >= 1 / RIGIDITY_FLOOR).any()
         if dims.size == 0 or degenerate:
             return _entry(float("inf"), tol)
-        try:
-            found = [f_inverse_unit_check(data, a) for a in range(dims.size)]
-        except InputError:  # a singular fusing matrix, possible only for data built in memory
-            return _entry(float("inf"), tol)
-        return _entry(np.max(found), tol)
+        # NaN for a singular pairing matrix, possible only for data built in memory
+        return _entry(np.max(_inverse_unit_checks(data)), tol)
     # modularity: invertibility margin of S~, plus the pipeline verdict
     s = rep.s_tilde.entries
     if s.size == 0 or not np.isfinite(s).all():

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .category_data import CategoryData, coherence_summary, rigidity_scalar
-from .errors import InputError, RigidityDegenerate, WeightsInconsistent
+from .category_data import CategoryData, _unit_elements, coherence_summary, rigidity_scalar
+from .errors import InputError, WeightsInconsistent
 from .fusion_ring import SMatrix, fp_dimensions, validate_ring
 
 COHERENCE_TOL = 1e-7  # verdict threshold; loose enough for level-8 accumulation
@@ -40,12 +40,10 @@ def quantum_dimensions(data: CategoryData) -> np.ndarray:
     The NaN carries into the twists and the ribbon residual, so such data is
     judged ``incoherent`` instead of stopping the check.
     """
-    dims = np.empty(data.ring.size, dtype=complex)
-    for a in range(data.ring.size):
-        try:
-            dims[a] = quantum_dimension(data, a)
-        except RigidityDegenerate:
-            dims[a] = np.nan
+    dims = np.full(data.ring.size, np.nan, dtype=complex)
+    for a, value in _unit_elements(data).items():
+        if not abs(value) < 1e-12:  # rigidity_scalar's floor; a NaN element gives a NaN dimension
+            dims[a] = 1.0 / value
     return dims
 
 

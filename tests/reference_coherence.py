@@ -11,7 +11,9 @@ walks the unit-containing F blocks one at a time.  ``pentagon_tables`` and
 copying every column at every step and computing offsets in the platform
 integer, against the copy-free tables of the package.  ``validate_symbols``
 checks one key, block and fusing matrix at a time, against the stacked
-checks of the package.  ``modular_loops``
+checks of the package.  ``rigidity_scalar`` and ``f_inverse_unit_check``
+read one dense ``f_matrix`` per label, against the pairing matrices that the
+package reads from its stacked fusing view.  ``modular_loops``
 computes the twists, the ribbon residual and both S-matrix routes one label
 pair and channel at a time, against the array helpers of
 ``mtcat.ribbon_modular``.  ``gauge_transform`` conjugates each whole fusing
@@ -28,7 +30,37 @@ from mtcat.category_data import (
     f_block_shape,
     f_matrix,
 )
+from mtcat.errors import InputError, RigidityDegenerate
+from mtcat.fusion_ring import UNIT
 from mtcat.ribbon_modular import monodromy, quantum_dimensions
+
+
+def rigidity_scalar(data: CategoryData, a, tol: float = 1e-12) -> complex:
+    ring = data.ring
+    lm = f_matrix(data, a, int(ring.dual[a]), a, a)
+    try:
+        i = lm.row_index.index((UNIT, 0, 0))
+        j = lm.col_index.index((UNIT, 0, 0))
+    except ValueError:
+        raise RigidityDegenerate(f"label {a} has no unit channel with its dual") from None
+    value = complex(lm.matrix[i, j])
+    if abs(value) < tol:
+        raise RigidityDegenerate(
+            f"unit-channel fusing element for label {a} has modulus {abs(value):.3e}"
+        )
+    return value
+
+
+def f_inverse_unit_check(data: CategoryData, a) -> float:
+    ring = data.ring
+    lm = f_matrix(data, a, int(ring.dual[a]), a, a)
+    i = lm.row_index.index((UNIT, 0, 0))
+    j = lm.col_index.index((UNIT, 0, 0))
+    try:
+        inv = np.linalg.inv(lm.matrix)
+    except np.linalg.LinAlgError:
+        raise InputError(f"fusing matrix of ({a}, dual, {a}, {a}) is singular") from None
+    return float(abs(inv[j, i] - lm.matrix[i, j]))
 
 
 def triangle_residual(data: CategoryData) -> float:

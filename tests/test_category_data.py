@@ -14,6 +14,7 @@ from mtcat import (
     hexagon_residual,
     make,
     pentagon_residual,
+    quantum_dimensions,
     random_gauge,
     rigidity_scalar,
     triangle_residual,
@@ -298,6 +299,40 @@ def test_f_inverse_unit_check(catalog):
     for name, data in catalog.items():
         for a in range(data.ring.size):
             assert f_inverse_unit_check(data, a) < 1e-12, (name, a)
+
+
+@pytest.mark.parametrize(
+    "name,variant",
+    [(name, v) for name, _, _ in CATALOG for v in ("plain", "gauged", "bumped")]
+    + [("rep_a4", "plain")],
+)
+def test_pairing_reads_match_f_matrix(catalog, name, variant):
+    data = random_rep_a4_data(0) if name == "rep_a4" else catalog[name]
+    if variant == "gauged":
+        data = gauge_transform(data, random_gauge(data.ring, 0))
+    elif variant == "bumped":
+        data = bump_one_f_and_one_r(data)
+    # the stacked view gives the same numbers, bit for bit, as one f_matrix per label
+    labels = range(data.ring.size)
+    scalars = [reference.rigidity_scalar(data, a) for a in labels]
+    checks = [reference.f_inverse_unit_check(data, a) for a in labels]
+    assert [rigidity_scalar(data, a) for a in labels] == scalars
+    assert [f_inverse_unit_check(data, a) for a in labels] == checks
+    assert category_data._inverse_unit_checks(data).tolist() == checks
+    dims = quantum_dimensions(data)
+    assert dims.tobytes() == np.array([1.0 / x for x in scalars], dtype=complex).tobytes()
+
+
+def test_singular_pairing_matrix(fib):
+    bad = fib.copy()
+    for e in (0, 1):
+        for f in (0, 1):
+            bad.F[(1, 1, 1, 1, e, f)] = np.ones((1, 1, 1, 1), dtype=complex)
+    with pytest.raises(InputError, match=r"fusing matrix of \(1, dual, 1, 1\) is singular"):
+        f_inverse_unit_check(bad, 1)
+    checks = category_data._inverse_unit_checks(bad)
+    assert checks[0] == 0.0 and np.isnan(checks[1])
+    assert rigidity_scalar(bad, 1) == 1.0
 
 
 # --- gauge transforms --------------------------------------------------------

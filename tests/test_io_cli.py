@@ -27,6 +27,7 @@ from mtcat import (
     run_report,
     save,
 )
+from mtcat import category_data
 from mtcat.catalog import FAMILIES
 from mtcat.category_data import coherence_summary
 from mtcat.cli import build_parser, main
@@ -256,12 +257,26 @@ def _count_calls(monkeypatch, *functions):
 
 
 def test_report_computes_each_quantity_once(fib, monkeypatch):
-    counts = _count_calls(monkeypatch, coherence_summary, quantum_dimensions, rigidity_scalar)
+    # the pairing matrices of all labels are read at once: nothing runs per label
+    counts = _count_calls(
+        monkeypatch,
+        coherence_summary,
+        quantum_dimensions,
+        category_data._unit_elements,
+        category_data._inverse_unit_checks,
+        rigidity_scalar,
+        category_data.f_inverse_unit_check,
+        category_data.f_matrix,
+    )
     assert all_pass(run_report(fib))
     assert counts == {
         "coherence_summary": 1,
         "quantum_dimensions": 1,
-        "rigidity_scalar": fib.ring.size,
+        "_unit_elements": 1,
+        "_inverse_unit_checks": 1,
+        "rigidity_scalar": 0,
+        "f_inverse_unit_check": 0,
+        "f_matrix": 0,
     }
 
 
