@@ -22,6 +22,9 @@ range in its shape is non-empty.  Multiplicity indices are 0-based in memory
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from itertools import compress
 
@@ -390,11 +393,16 @@ def hexagon_residual(data: CategoryData, direction: str = "braid") -> tuple[floa
 # share the ring object, so repeated evaluations reuse it.
 
 
-def _cached(ring: FusionRing, name: str, build):
+def _cached(ring: FusionRing, name: str, build, key=None):
+    """``build()``, kept on the ring under ``name`` while ``key`` equals the one it was built for.
+
+    A key is a layout, such as the key order of a symbol table: data on one
+    ring mostly share their key objects, so comparing them costs little.
+    """
     cache = ring._coherence_tables
-    if name not in cache:
-        cache[name] = build()
-    return cache[name]
+    if name not in cache or cache[name][0] != key:
+        cache[name] = key, build()
+    return cache[name][1]
 
 
 def _layout(ring: FusionRing) -> _Layout:
@@ -730,39 +738,74 @@ class GaugeTransform:
         return np.asarray(g, dtype=complex)
 
     def validate(self, cond_tol: float = 1e-12):
-        ring = self.ring
-        for (a, b, c), g in self.matrices.items():
-            n = int(ring.N[a, b, c])
-            if n == 0:
-                raise InputError(f"gauge given on inadmissible triple ({a},{b},{c})")
-            g = np.asarray(g, dtype=complex)
-            if g.shape != (n, n):
-                raise InputError(
-                    f"gauge on ({a},{b},{c}) has shape {g.shape}, expected ({n},{n})"
-                )
-            sv = np.linalg.svd(g, compute_uv=False)
-            if sv[-1] <= cond_tol * max(sv[0], 1.0):
-                raise InputError(f"gauge matrix on ({a},{b},{c}) is not invertible")
-            if _is_unit_triple(ring, a, b, c) and not np.allclose(g, np.eye(n), atol=1e-14):
-                raise InputError(f"gauge on unit triple ({a},{b},{c}) must be the identity")
+        """Raise InputError for the first matrix, in dict order, that is not a valid gauge.
+
+        The matrices are checked with one SVD per size; only a flagged vertex is
+        looked at on its own, to raise the error a vertex-by-vertex check would.
+        """
+        keys = list(self.matrices)
+        mats = [np.asarray(g, dtype=complex) for g in self.matrices.values()]
+        a, b, c = np.array(keys, dtype=np.intp).reshape(-1, 3).T
+        n = self.ring.N[a, b, c]
+        flagged = np.ones(len(keys), dtype=bool)  # inadmissible or misshapen until cleared
+        unit = _unit_triples(self.ring, a, b, c)
+        for size in set(n.tolist()) - {0}:
+            pick = [i for i in np.flatnonzero(n == size).tolist() if mats[i].shape == (size, size)]
+            if not pick:
+                continue
+            stack = np.stack([mats[i] for i in pick])
+            finite = np.isfinite(stack).all(axis=(1, 2))  # the SVD of the others may raise
+            invertible = np.zeros(len(pick), dtype=bool)
+            invertible[finite] = ~_singular(stack[finite], cond_tol)
+            pinned = np.isclose(stack, np.eye(size), atol=1e-14).all(axis=(1, 2))
+            flagged[pick] = ~invertible | (unit[pick] & ~pinned)
+        for i in np.flatnonzero(flagged).tolist():
+            _check_gauge_matrix(self.ring, keys[i], mats[i], cond_tol)
 
 
-def _is_unit_triple(ring: FusionRing, a, b, c) -> bool:
-    return a == UNIT or b == UNIT or (c == UNIT and b == ring.dual[a])
+def _check_gauge_matrix(ring: FusionRing, key, g: np.ndarray, cond_tol: float):
+    """Raise InputError when ``g`` is not a valid gauge matrix on vertex ``key``."""
+    a, b, c = key
+    n = int(ring.N[a, b, c])
+    if n == 0:
+        raise InputError(f"gauge given on inadmissible triple ({a},{b},{c})")
+    if g.shape != (n, n):
+        raise InputError(f"gauge on ({a},{b},{c}) has shape {g.shape}, expected ({n},{n})")
+    sv = np.linalg.svd(g, compute_uv=False)
+    if sv[-1] <= cond_tol * max(sv[0], 1.0):
+        raise InputError(f"gauge matrix on ({a},{b},{c}) is not invertible")
+    if _unit_triples(ring, a, b, c) and not np.allclose(g, np.eye(n), atol=1e-14):
+        raise InputError(f"gauge on unit triple ({a},{b},{c}) must be the identity")
+
+
+def _unit_triples(ring: FusionRing, a, b, c):
+    """Whether the basis of (a, b, c) is pinned: a or b is the unit, or c is and b = dual(a)."""
+    return (a == UNIT) | (b == UNIT) | ((c == UNIT) & (b == ring.dual[a]))
 
 
 def random_gauge(ring: FusionRing, seed: int) -> GaugeTransform:
-    """Seeded random admissible gauge: Haar unitary per non-unit triple."""
+    """Seeded random admissible gauge: Haar unitary per non-unit triple.
+
+    One normal draw covers every vertex, in vertex order with the real then
+    the imaginary parts of each matrix, and the QR runs once per matrix size.
+    """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InputError(f"gauge seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
-    mats = {}
-    for (a, b, c) in fusion_vertices(ring):
-        if _is_unit_triple(ring, a, b, c):
-            continue
-        n = int(ring.N[a, b, c])
-        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        qmat, rmat = np.linalg.qr(z)
-        qmat = qmat * (np.diagonal(rmat) / np.abs(np.diagonal(rmat)))
-        mats[(a, b, c)] = qmat
+    vertices = np.argwhere(ring.N > 0)
+    vertices = vertices[~_unit_triples(ring, *vertices.T)]
+    n = ring.N[tuple(vertices.T)]
+    start = np.cumsum(2 * n * n) - 2 * n * n  # of the real parts; the imaginary parts follow
+    z = rng.standard_normal(int(2 * (n * n).sum()))
+    keys = list(map(tuple, vertices.tolist()))
+    mats = dict.fromkeys(keys)
+    for size in sorted(set(n.tolist())):
+        pick = np.flatnonzero(n == size)
+        at = start[pick, None, None] + np.arange(size * size).reshape(size, size)
+        qmat, rmat = np.linalg.qr(z[at] + 1j * z[at + size * size])
+        diag = np.diagonal(rmat, axis1=1, axis2=2)
+        qmat = qmat * (diag / np.abs(diag))[:, None, :]
+        mats.update(zip(map(keys.__getitem__, pick.tolist()), qmat))
     return GaugeTransform(ring=ring, matrices=mats)
 
 
@@ -770,41 +813,30 @@ def gauge_transform(data: CategoryData, gauge: GaugeTransform) -> CategoryData:
     """Conjugate the symbol data by a basis change of the fusion spaces.
 
     Per block, F'[a,b,c,d;e,f] = (g[b,c,e] (x) g[a,e,d]) F (g[a,b,f]^-1 (x) g[f,c,d]^-1)
-    and R'[a,b,c] = inv(g[a,b,c])^T R[a,b,c] g[b,a,c]^T.  The ring object is
-    shared, not copied.
+    and R'[a,b,c] = inv(g[a,b,c])^T R[a,b,c] g[b,a,c]^T; the blocks of one
+    shape are conjugated together.  The ring object is shared, not copied.
     """
     if gauge.ring is not data.ring and gauge.ring != data.ring:
         raise InputError("gauge transform built for a different fusion ring")
     gauge.validate()
-    N = data.ring.N
-    # the vertex matrices stacked by size n; slot[v] is the place of vertex v in stack n
-    vertices = fusion_vertices(data.ring)
-    slot = np.zeros(N.shape, dtype=np.intp)
-    g, g_inv = {}, {}
-    for n in sorted({int(N[v]) for v in vertices}):
-        mine = [v for v in vertices if N[v] == n]
-        slot[tuple(np.array(mine).T)] = np.arange(len(mine))
-        g[n] = np.stack([gauge.matrix(*v) for v in mine])
+    ring = data.ring
+    vertices, groups, slot = _cached(ring, "vertex slots", lambda: _vertex_slots(ring))
+    given = list(map(gauge.matrices.get, vertices))
+    g, g_inv = {}, {}  # the vertex matrices stacked by size n, in the order of slot
+    for n, pick in groups.items():
+        eye = np.eye(n, dtype=complex)
+        g[n] = np.array([eye if given[i] is None else given[i] for i in pick], dtype=complex)
         g_inv[n] = np.linalg.inv(g[n])  # each vertex inverted once
-    groups = {}  # F keys by block shape; the blocks of one shape are conjugated together
-    for key, block in data.F.items():
-        groups.setdefault(block.shape, []).append(key)
-    newF = dict.fromkeys(data.F)  # keeps the key order of data.F
-    for (n1, n2, n3, n4), keys in groups.items():
-        a, b, c, d, e, f = np.array(keys).T
+    newF, newR = dict.fromkeys(data.F), dict.fromkeys(data.R)  # keep the key orders
+    for keys, (n1, n2, n3, n4), (s1, s2, s3, s4), blocks in _stacks(ring, data.F, "F"):
         blocks = np.einsum(
             "xij,xkl,xjlmn,xmo,xnp->xikop",
-            g[n1][slot[b, c, e]],
-            g[n2][slot[a, e, d]],
-            np.array([data.F[key] for key in keys]),
-            g_inv[n3][slot[a, b, f]],
-            g_inv[n4][slot[f, c, d]],
+            g[n1][s1], g[n2][s2], blocks, g_inv[n3][s3], g_inv[n4][s4],
         )
         newF.update(zip(keys, blocks))
-    newR = {
-        (a, b, c): g_inv[N[a, b, c]][slot[a, b, c]].T @ block @ g[N[b, a, c]][slot[b, a, c]].T
-        for (a, b, c), block in data.R.items()
-    }
+    for keys, (n1, n2), (s1, s2), blocks in _stacks(ring, data.R, "R"):
+        blocks = g_inv[n1][s1].transpose(0, 2, 1) @ blocks @ g[n2][s2].transpose(0, 2, 1)
+        newR.update(zip(keys, blocks))
     return CategoryData(
         ring=data.ring,
         F=newF,
@@ -813,6 +845,73 @@ def gauge_transform(data: CategoryData, gauge: GaugeTransform) -> CategoryData:
         central_charge=data.central_charge,
         name=data.name,
     )
+
+
+# Per table: the number of labels in a key and the fusion vertices that bound
+# the multiplicity indices of a block, as positions in its key: F[a,b,c,d;e,f]
+# has shape (N[b,c,e], N[a,e,d], N[a,b,f], N[f,c,d]) and R[a,b,c] has shape
+# (N[a,b,c], N[b,a,c]).
+_BLOCK_VERTICES = {
+    "F": (6, ((1, 2, 4), (0, 4, 3), (0, 1, 5), (5, 2, 3))),
+    "R": (3, ((0, 1, 2), (1, 0, 2))),
+}
+
+
+def _vertex_slots(ring: FusionRing) -> tuple[list, dict, np.ndarray]:
+    """The fusion vertices in order; per size n, the positions of the vertices of that size;
+    and the slot of every vertex among those of its size."""
+    N = ring.N
+    vertices, sizes = np.argwhere(N > 0), N[N > 0]
+    slot = np.zeros(N.shape, dtype=np.intp)
+    groups = {}
+    for n in sorted(set(sizes.tolist())):
+        pick = np.flatnonzero(sizes == n)
+        slot[tuple(vertices[pick].T)] = np.arange(len(pick))
+        groups[n] = pick.tolist()
+    return list(map(tuple, vertices.tolist())), groups, slot
+
+
+def _stacks(ring: FusionRing, table: dict, kind: str) -> list:
+    """The blocks of an F or R table stacked by shape.
+
+    Per shape: the keys, the shape, per vertex of ``_BLOCK_VERTICES`` the slot
+    of every key's vertex, and the stack.  A block that does not have the
+    shape its key admits raises InputError.
+    """
+    keys, blocks = list(table), list(table.values())
+    shapes, plan = _cached(ring, f"{kind} stacks", lambda: _stack_plan(ring, keys, kind), keys)
+    if list(map(_shape, blocks)) != shapes:
+        raise InputError("F/R blocks do not have their admissible shapes")
+    if not blocks:
+        return []
+    flat = np.concatenate([block.ravel() for block in blocks])  # one gather for every shape
+    return [
+        (list(map(keys.__getitem__, x)), shape, slots, np.take(flat, at).reshape(-1, *shape))
+        for x, shape, slots, at in plan
+    ]
+
+
+def _stack_plan(ring: FusionRing, keys: list, kind: str) -> tuple[list, list]:
+    """The admissible shape of every block of ``keys``, and per shape the positions of its
+    keys, the shape, the vertex slots and the flat offset of every entry of the stack."""
+    N, slot = ring.N, _cached(ring, "vertex slots", lambda: _vertex_slots(ring))[2]
+    width, vertices = _BLOCK_VERTICES[kind]
+    labels = np.fromiter(itertools.chain.from_iterable(keys), dtype=np.intp)
+    labels = labels.reshape(len(keys), width).T
+    at = [tuple(labels[i] for i in vertex) for vertex in vertices]
+    dims = [N[v] for v in at]
+    size = np.prod(dims, axis=0)
+    start = np.cumsum(size) - size
+    shapes = list(zip(*(x.tolist() for x in dims)))
+    plan = []
+    for shape in sorted(set(shapes)):
+        x = np.flatnonzero(np.logical_and.reduce([n == k for n, k in zip(dims, shape)]))
+        offsets = start[x, None] + np.arange(math.prod(shape))
+        plan.append((x.tolist(), shape, [slot[v][x] for v in at], offsets))
+    return shapes, plan
+
+
+_shape = operator.attrgetter("shape")
 
 
 def coherence_summary(data: CategoryData) -> dict:

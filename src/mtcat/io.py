@@ -26,12 +26,20 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 from decimal import Decimal
 
 import numpy as np
 
 from . import __version__
-from .category_data import CategoryData, _inverse_unit_checks, validate_symbols
+from .category_data import (
+    _BLOCK_VERTICES,
+    CategoryData,
+    _cached,
+    _inverse_unit_checks,
+    _shape,
+    validate_symbols,
+)
 from .errors import InputError, ParseError, SchemaError, ValidationError
 from .fusion_ring import FusionRing, validate_ring
 from .ribbon_modular import COHERENCE_TOL, DET_TOL, check_modular
@@ -47,7 +55,7 @@ CHECK_NAMES = ("pentagon", "hexagon", "triangle", "ribbon", "rigidity", "modular
 
 
 def category_to_dict(data: CategoryData) -> dict:
-    doc = _small_fields(data)
+    doc = {**_data_fields(data), **_ring_fields(data.ring)}
     for name, table in (("f_symbols", data.F), ("r_symbols", data.R)):
         doc[name] = [[*key, *mult, re, im] for key, mult, re, im in zip(*_symbol_entries(table))]
     return doc
@@ -56,32 +64,42 @@ def category_to_dict(data: CategoryData) -> dict:
 def dumps(data: CategoryData) -> str:
     """The canonical text: ``json.dumps(category_to_dict(data), indent=1, sort_keys=True)``.
 
-    The symbol tables are written row by row in that layout instead of
-    through the json encoder, which is pure Python when it indents.
+    The symbol tables are written through a row template instead of the json
+    encoder, which is pure Python when it indents, and the text of the ring's
+    fields is kept on the ring.
     """
-    texts = {
-        name: json.dumps(value, indent=1).replace("\n", "\n ")  # nested one level deeper
-        for name, value in _small_fields(data).items()
-    }
-    texts["f_symbols"] = _table_text(*_symbol_entries(data.F))
-    texts["r_symbols"] = _table_text(*_symbol_entries(data.R))
-    fields = (f" {json.dumps(name)}: {text}" for name, text in sorted(texts.items()))
-    return "{\n" + ",\n".join(fields) + "\n}"
-
-
-def _small_fields(data: CategoryData) -> dict:
-    """Every field of the file but the two symbol tables."""
     ring = data.ring
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "name": data.name,
+    texts = dict(_cached(ring, "ring text", lambda: _field_texts(_ring_fields(ring))))
+    texts.update(_field_texts(_data_fields(data)))
+    texts["f_symbols"] = _table_text(ring, data.F, "F")
+    texts["r_symbols"] = _table_text(ring, data.R, "R")
+    parts = []
+    for name, text in sorted(texts.items()):
+        parts += [",\n ", json.dumps(name), ": ", text]
+    parts[0] = "{\n "  # no comma before the first field
+    parts.append("\n}")
+    return "".join(parts)
+
+
+def _field_texts(fields: dict) -> dict:
+    """Each field's value as ``json.dumps`` writes it one level deep with ``indent=1``."""
+    return {
+        name: json.dumps(value, indent=1).replace("\n", "\n ") for name, value in fields.items()
+    }
+
+
+def _ring_fields(ring: FusionRing) -> dict:
+    """The fields that depend only on the ring."""
+    return {
         "labels": list(ring.names),
         "dual": [int(x) for x in ring.dual],
-        "fusion": [
-            [int(a), int(b), int(c), int(ring.N[a, b, c])]
-            for (a, b, c) in np.argwhere(ring.N > 0)
-        ],
+        "fusion": [[a, b, c, int(ring.N[a, b, c])] for a, b, c in np.argwhere(ring.N > 0).tolist()],
     }
+
+
+def _data_fields(data: CategoryData) -> dict:
+    """The fields other than the ring's and the two symbol tables."""
+    doc = {"schema_version": SCHEMA_VERSION, "name": data.name}
     if data.weights is not None:
         doc["weights"] = [[a, float(h)] for a, h in enumerate(data.weights)]
     if data.central_charge is not None:
@@ -112,29 +130,55 @@ def _symbol_entries(table: dict) -> tuple[list, list, list, list]:
     )
 
 
-def _table_text(keys: list, mults: list, re: list, im: list) -> str:
-    """A symbol table as ``json.dumps`` writes it one level deep with ``indent=1``."""
-    if not keys:
-        return "[]"
-    key_row = ",\n   ".join(["%s"] * len(keys[0]))
-    mult_row = ",\n   ".join(["%s"] * len(mults[0]))
-    mult_texts = {mult: mult_row % mult for mult in set(mults)}  # once per distinct tuple
-    rows = map(
-        "  [\n   {},\n   {},\n   {},\n   {}\n  ]".format,
-        map(key_row.__mod__, keys),
-        map(mult_texts.__getitem__, mults),
-        _float_texts(re),
-        _float_texts(im),
+def _table_text(ring: FusionRing, table: dict, kind: str) -> str:
+    """A symbol table as ``json.dumps`` writes it one level deep with ``indent=1``.
+
+    Everything in a row but its two floats depends only on the keys and the
+    block shapes, so the rows are a ``%``-template cached on the ring and
+    reused while the table has the keys, in the same order, and the shapes it
+    was built from.  The cache holds no values: each call gathers them afresh.
+    """
+    keys, blocks = list(table), list(table.values())
+    shapes = list(map(_shape, blocks))
+    order, template = _cached(
+        ring, f"{kind} rows", lambda: _row_template(keys, shapes), (keys, shapes)
     )
-    return "[\n" + ",\n".join(rows) + "\n ]"
+    if not blocks:
+        return template
+    if order is not None:
+        blocks = list(map(blocks.__getitem__, order))
+    flat = [block.ravel() for block in blocks]
+    values = np.concatenate(flat, dtype=complex).view(float)  # re, im of every entry
+    texts = values.tolist()
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[i] = json.dumps(texts[i])  # NaN, Infinity, -Infinity
+    return template % tuple(texts)  # %s writes a float as repr does
 
 
-def _float_texts(values: list) -> list:
-    """Floats as the json encoder writes them: ``repr``, and NaN, Infinity, -Infinity."""
-    texts = list(map(repr, values))
-    for i in np.flatnonzero(~np.isfinite(values)):
-        texts[i] = json.dumps(values[i])
-    return texts
+def _row_template(keys: list, shapes: list) -> tuple[list | None, str]:
+    """The positions of the keys in sorted order (None: they are sorted), and the text of
+    the table with ``%s`` in place of every real and imaginary part."""
+    if not keys:
+        return None, "[]"
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    if order == list(range(len(keys))):
+        order = None
+    else:
+        keys, shapes = [keys[i] for i in order], [shapes[i] for i in order]
+    key_row = ",\n   ".join(["%s"] * len(keys[0]))
+    mult_texts = {  # the 1-based multiplicity indices of every entry, once per shape
+        shape: [",\n   ".join(str(i + 1) for i in idx) for idx in np.ndindex(shape)]
+        for shape in set(shapes)
+    }
+    per_block = [mult_texts[shape] for shape in shapes]
+    rows = map(
+        "  [\n   {},\n   {},\n   %s,\n   %s\n  ]".format,
+        itertools.chain.from_iterable(
+            map(itertools.repeat, map(key_row.__mod__, keys), map(len, per_block))
+        ),
+        itertools.chain.from_iterable(per_block),
+    )
+    return order, "[\n" + ",\n".join(rows) + "\n ]"
 
 
 def save(data: CategoryData, path) -> None:
@@ -190,21 +234,7 @@ def category_from_dict(doc) -> CategoryData:
     if sorted(dual) != list(range(m)):
         raise SchemaError("dual must be a permutation of 0..m-1")
 
-    N = np.zeros((m, m, m), dtype=int)
-    seen = set()
-    for row in _expect(doc, "fusion", list):
-        a, b, c, mult = _int_row(row, 4, "fusion")
-        _check_range((a, b, c), m, "fusion")
-        if (a, b, c) in seen:
-            raise SchemaError(f"duplicate fusion key ({a},{b},{c})")
-        seen.add((a, b, c))
-        if mult < 0:
-            raise SchemaError(f"fusion multiplicity at ({a},{b},{c}) is negative")
-        if mult > MAX_MULTIPLICITY:
-            raise SchemaError(f"fusion multiplicity at ({a},{b},{c}) exceeds {MAX_MULTIPLICITY}")
-        N[a, b, c] = mult
-
-    ring = FusionRing(labels, dual, N)
+    ring = FusionRing(labels, dual, _fusion_table(_expect(doc, "fusion", list), m))
     report = validate_ring(ring)
     if not report.ok:
         raise ValidationError(
@@ -275,6 +305,30 @@ def _as_number(x, where):
     raise SchemaError(f"{where}: expected a finite number, got {x!r}")
 
 
+def _fusion_table(rows: list, m: int) -> np.ndarray:
+    """N from the fusion rows, read as columns like the symbol tables."""
+    (a, b, c, mult), _ = _int_columns(rows, 4, 4)
+    labels = np.stack([a, b, c])
+    in_range = ((labels >= 0) & (labels < m)).all(axis=0)
+    key = np.ravel_multi_index(np.where(in_range, labels, 0), (m, m, m))
+    _, first = np.unique(np.where(in_range, key, -1), return_index=True)
+    duplicate = in_range.copy()
+    duplicate[first] = False  # the first of equal keys is not a duplicate
+    bad = _first(~in_range | duplicate | (mult < 0) | (mult > MAX_MULTIPLICITY))
+    if bad < len(rows):
+        row = _int_row(rows[bad], 4, "fusion")
+        _check_range(row[:3], m, "fusion")
+        where = "({},{},{})".format(*row[:3])
+        if duplicate[bad]:
+            raise SchemaError(f"duplicate fusion key {where}")
+        if row[3] < 0:
+            raise SchemaError(f"fusion multiplicity at {where} is negative")
+        raise SchemaError(f"fusion multiplicity at {where} exceeds {MAX_MULTIPLICITY}")
+    N = np.zeros(m**3, dtype=int)
+    N[key] = mult
+    return N.reshape(m, m, m)
+
+
 def _int_row(row, n, where):
     if not isinstance(row, list) or len(row) != n:
         raise SchemaError(f"{where} row must have {n} integers, got {row!r}")
@@ -289,13 +343,8 @@ def _check_range(indices, m, where):
 
 # The rows of a symbol table are read as columns: every check is an array mask
 # over all rows, and only the first flagged row is looked at on its own, to
-# raise the error that reading the rows one by one would raise there.  Per
-# table: the number of label entries of a row and, for each multiplicity
-# index, the positions of the three labels of the fusion vertex that bounds it.
-_TABLES = {
-    "f_symbols": (6, ((1, 2, 4), (0, 4, 3), (0, 1, 5), (5, 2, 3))),  # N[b,c,e] ... N[f,c,d]
-    "r_symbols": (3, ((0, 1, 2), (1, 0, 2))),  # N[a,b,c], N[b,a,c]
-}
+# raise the error that reading the rows one by one would raise there.
+_TABLES = {"f_symbols": _BLOCK_VERTICES["F"], "r_symbols": _BLOCK_VERTICES["R"]}
 
 
 def _symbol_table(doc, where: str, ring: FusionRing) -> dict:
@@ -358,9 +407,27 @@ def _columns(rows: list, n_int: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     Rows are read up to the first that is not a list of ``n_int`` integers and
     two more entries; a value that is not a finite number reads as NaN.
     """
-    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {n_int + 2}):
-        rows = rows[: _first([not isinstance(r, list) or len(r) != n_int + 2 for r in rows])]
-    cols = list(zip(*rows)) or [()] * (n_int + 2)
+    ints, cols = _int_columns(rows, n_int, n_int + 2)
+    try:
+        if not set(map(type, itertools.chain.from_iterable(cols[n_int:]))) <= {int, float}:
+            raise TypeError
+        re, im = np.array(cols[n_int:], dtype=float).reshape(2, -1)
+    except (TypeError, OverflowError):  # look at each value
+        re, im = (np.array([_number_or_nan(x) for x in col], dtype=float) for col in cols[n_int:])
+    values = np.empty(len(re), dtype=complex)
+    values.real, values.imag = re, im
+    return ints, values, np.isfinite(re) & np.isfinite(im)
+
+
+def _int_columns(rows: list, n_int: int, width: int) -> tuple[np.ndarray, list]:
+    """The first ``n_int`` entries of the rows as integer columns, and every entry as columns.
+
+    Rows are read up to the first that is not a list of ``width`` entries
+    starting with ``n_int`` integers.
+    """
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}):
+        rows = rows[: _first([not isinstance(r, list) or len(r) != width for r in rows])]
+    cols = list(zip(*rows)) or [()] * width
     if not set(map(type, itertools.chain.from_iterable(cols[:n_int]))) <= {int}:
         flat = list(itertools.chain.from_iterable(cols[:n_int]))
         is_int = np.fromiter(map(isinstance, flat, itertools.repeat(int)), dtype=bool)
@@ -371,15 +438,7 @@ def _columns(rows: list, n_int: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
         ints = np.array(cols[:n_int], dtype=np.int64).reshape(n_int, -1)
     except OverflowError:  # 2**63 or more: out of range as a label and as an index
         ints = np.array([[min(max(x, -(2**62)), 2**62) for x in col] for col in cols[:n_int]])
-    try:
-        if not set(map(type, itertools.chain.from_iterable(cols[n_int:]))) <= {int, float}:
-            raise TypeError
-        re, im = np.array(cols[n_int:], dtype=float).reshape(2, -1)
-    except (TypeError, OverflowError):  # look at each value
-        re, im = (np.array([_number_or_nan(x) for x in col], dtype=float) for col in cols[n_int:])
-    values = np.empty(len(re), dtype=complex)
-    values.real, values.imag = re, im
-    return ints, values, np.isfinite(re) & np.isfinite(im)
+    return ints, cols
 
 
 def _first(flags) -> int:
@@ -432,6 +491,8 @@ def run_report(data: CategoryData, checks=None, tolerance: float = 1e-9) -> dict
     relative), so the verdict is stable under tolerance tweaks.  Non-finite
     numbers are written as ``null``.
     """
+    if not (isinstance(tolerance, numbers.Real) and math.isfinite(tolerance) and tolerance > 0):
+        raise InputError(f"tolerance must be a finite positive number, got {tolerance!r}")
     if checks is None:
         checks = CHECK_NAMES
     checks = list(checks)

@@ -18,17 +18,21 @@ computes the twists, the ribbon residual and both S-matrix routes one label
 pair and channel at a time, against the array helpers of
 ``mtcat.ribbon_modular``.  ``gauge_transform`` conjugates each whole fusing
 matrix by dense block-diagonal gauges, against the block-by-block transform
-of the package.
+of the package.  ``random_gauge`` draws and factors one vertex matrix at a
+time and ``validate_gauge`` checks one vertex at a time, against the draw and
+the QR and SVD per matrix size of the package.
 """
 
 import numpy as np
 
 from mtcat.category_data import (
     CategoryData,
+    GaugeTransform,
     admissible_f_keys,
     admissible_r_keys,
     f_block_shape,
     f_matrix,
+    fusion_vertices,
 )
 from mtcat.errors import InputError, RigidityDegenerate
 from mtcat.fusion_ring import UNIT
@@ -252,6 +256,39 @@ def gauge_transform(data: CategoryData, gauge) -> CategoryData:
         for (a, b, c), block in data.R.items()
     }
     return CategoryData(ring=data.ring, F=newF, R=newR)
+
+
+def random_gauge(ring, seed: int) -> GaugeTransform:
+    """One standard-normal draw and one QR per non-unit vertex, in vertex order."""
+    rng = np.random.default_rng(seed)
+    mats = {}
+    for (a, b, c) in fusion_vertices(ring):
+        if a == UNIT or b == UNIT or (c == UNIT and b == ring.dual[a]):
+            continue
+        n = int(ring.N[a, b, c])
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        qmat, rmat = np.linalg.qr(z)
+        qmat = qmat * (np.diagonal(rmat) / np.abs(np.diagonal(rmat)))
+        mats[(a, b, c)] = qmat
+    return GaugeTransform(ring=ring, matrices=mats)
+
+
+def validate_gauge(gauge, cond_tol: float = 1e-12):
+    """Check one vertex at a time, in dict order; raise at the first bad one."""
+    ring = gauge.ring
+    for (a, b, c), g in gauge.matrices.items():
+        n = int(ring.N[a, b, c])
+        if n == 0:
+            raise InputError(f"gauge given on inadmissible triple ({a},{b},{c})")
+        g = np.asarray(g, dtype=complex)
+        if g.shape != (n, n):
+            raise InputError(f"gauge on ({a},{b},{c}) has shape {g.shape}, expected ({n},{n})")
+        sv = np.linalg.svd(g, compute_uv=False)
+        if sv[-1] <= cond_tol * max(sv[0], 1.0):
+            raise InputError(f"gauge matrix on ({a},{b},{c}) is not invertible")
+        unit = a == UNIT or b == UNIT or (c == UNIT and b == ring.dual[a])
+        if unit and not np.allclose(g, np.eye(n), atol=1e-14):
+            raise InputError(f"gauge on unit triple ({a},{b},{c}) must be the identity")
 
 
 def _block_diag(blocks):

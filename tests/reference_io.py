@@ -1,4 +1,4 @@
-"""Reference oracle: the F/R rows of a category file read one row at a time.
+"""Reference oracle: the fusion and F/R rows of a category file read one row at a time.
 
 This is the original loader of the two symbol tables: one Python step per
 row, each row checked in turn (entry count, integer indices, label range,
@@ -6,14 +6,34 @@ admissibility, multiplicity range, duplicate, finite value) and written into
 a NaN-filled block, then every block checked for completeness.  The tests
 compare it with the columnar loader of ``mtcat.io``: the same exception type
 and message on corrupted files, and the same blocks, in the same key order,
-on clean ones.
+on clean ones.  ``fusion_table`` reads the ``fusion`` rows the same way.
 """
 
 import numpy as np
 
 from mtcat.category_data import f_block_shape
 from mtcat.errors import SchemaError
-from mtcat.io import _as_int, _as_number, _check_range, _expect
+from mtcat.io import MAX_MULTIPLICITY, _as_int, _as_number, _check_range, _expect
+
+
+def fusion_table(doc: dict, m: int) -> np.ndarray:
+    """N of the ``fusion`` rows of ``doc`` over ``m`` labels, read row by row."""
+    N = np.zeros((m, m, m), dtype=int)
+    seen = set()
+    for row in _expect(doc, "fusion", list):
+        if not isinstance(row, list) or len(row) != 4:
+            raise SchemaError(f"fusion row must have 4 integers, got {row!r}")
+        a, b, c, mult = (_as_int(x, "fusion") for x in row)
+        _check_range((a, b, c), m, "fusion")
+        if (a, b, c) in seen:
+            raise SchemaError(f"duplicate fusion key ({a},{b},{c})")
+        seen.add((a, b, c))
+        if mult < 0:
+            raise SchemaError(f"fusion multiplicity at ({a},{b},{c}) is negative")
+        if mult > MAX_MULTIPLICITY:
+            raise SchemaError(f"fusion multiplicity at ({a},{b},{c}) exceeds {MAX_MULTIPLICITY}")
+        N[a, b, c] = mult
+    return N
 
 
 def symbol_tables(doc: dict, ring) -> tuple[dict, dict]:

@@ -394,3 +394,114 @@ def test_gauge_rejects_singular_matrix(fib):
     g = GaugeTransform(ring=fib.ring, matrices={(1, 1, 1): np.array([[0.0]])})
     with pytest.raises(InputError, match="not invertible"):
         gauge_transform(fib, g)
+
+
+# --- the batched gauge draw and check against the per-vertex oracles ---------
+
+GAUGE_DATA = [name for name, _, _ in CATALOG] + ["rep_a4"]
+
+
+def _gauge_data(catalog, name):
+    return random_rep_a4_data(7) if name == "rep_a4" else catalog[name]
+
+
+@pytest.mark.parametrize("name", GAUGE_DATA)
+def test_random_gauge_matches_reference(catalog, name):
+    ring = _gauge_data(catalog, name).ring
+    for seed in range(5):
+        got = random_gauge(ring, seed).matrices
+        want = reference.random_gauge(ring, seed).matrices
+        assert list(got) == list(want)  # the same vertices in the same order
+        for key, g in want.items():
+            assert got[key].shape == g.shape and got[key].dtype == g.dtype, key
+            assert got[key].tobytes() == g.tobytes(), (seed, key)  # bit for bit
+    if name == "rep_a4":
+        assert {g.shape for g in got.values()} == {(1, 1), (2, 2)}  # sizes mixed
+
+
+def test_random_gauge_rejects_negative_seed(fib):
+    with pytest.raises(InputError, match="non-negative integer, got -1"):
+        random_gauge(fib.ring, -1)
+
+
+def _bad_gauge(ring, case, seed):
+    """A seeded random gauge with one or two bad matrices placed in its dict order."""
+    items = list(random_gauge(ring, seed).matrices.items())
+    rng = np.random.default_rng(seed)
+
+    def put(key, g):
+        items.insert(int(rng.integers(len(items) + 1)), (key, g))
+
+    N, m = ring.N, ring.size
+    if case == "inadmissible":
+        put(tuple(int(x) for x in np.argwhere(N == 0)[0]), np.eye(1))
+    elif case == "unit":
+        a = int(rng.integers(m))
+        put((0, a, a), 2 * np.eye(int(N[0, a, a])))
+    elif case == "unit_close":  # within allclose of the identity: accepted
+        a = int(rng.integers(m))
+        put((a, 0, a), np.eye(int(N[a, 0, a])) + 1e-15)
+    else:
+        i = int(rng.integers(len(items)))
+        n = len(items[i][1])
+        if case == "shape":
+            items[i] = items[i][0], np.eye(n + 1)
+        elif case == "singular":
+            items[i] = items[i][0], np.zeros((n, n))
+        elif case == "nan":
+            items[i] = items[i][0], np.full((n, n), np.nan)
+        elif case == "lists":  # not arrays, and valid
+            items[i] = items[i][0], np.eye(n).tolist()
+        elif case == "singular_then_unit":
+            items[i] = items[i][0], np.zeros((n, n))
+            items.append(((0, 0, 0), np.array([[3.0]])))
+    return GaugeTransform(ring=ring, matrices=dict(items))
+
+
+@pytest.mark.parametrize("name", GAUGE_DATA)
+def test_gauge_validation_matches_reference(catalog, name):
+    ring = _gauge_data(catalog, name).ring
+    cases = ["unit", "unit_close"]
+    if (ring.N == 0).any():
+        cases.append("inadmissible")
+    if random_gauge(ring, 0).matrices:  # a vertex that is not pinned
+        cases += ["shape", "singular", "nan", "lists", "singular_then_unit"]
+    for case in cases:
+        for seed in range(3):
+            gauge = _bad_gauge(ring, case, seed)
+            try:
+                reference.validate_gauge(gauge)
+            except Exception as exc:
+                want = exc
+            else:
+                gauge.validate()
+                assert case in ("unit_close", "lists"), case
+                continue
+            with pytest.raises(Exception) as got:
+                gauge.validate()
+            assert type(got.value) is type(want), (case, seed, got.value, want)
+            assert str(got.value) == str(want), (case, seed)
+
+
+def test_gauge_transform_rejects_a_misshapen_block(fib):
+    bad = fib.copy()
+    bad.F[(1, 1, 1, 1, 1, 1)] = bad.F[(1, 1, 1, 1, 1, 1)].reshape(1, 1, 1)
+    with pytest.raises(InputError, match="admissible shapes"):
+        gauge_transform(bad, random_gauge(fib.ring, 0))
+
+
+def test_gauge_transform_follows_the_key_order():
+    data = random_rep_a4_data(5)
+    gauge = random_gauge(data.ring, 3)
+    want = gauge_transform(data, gauge)
+    flipped = data.copy()
+    flipped.F = dict(reversed(flipped.F.items()))
+    flipped.R = dict(reversed(flipped.R.items()))
+    for _ in range(2):  # a new key order, then the first one again
+        for source in (flipped, data):
+            got = gauge_transform(source, gauge)
+            assert list(got.F) == list(source.F) and list(got.R) == list(source.R)
+            for key in want.F:
+                assert got.F[key].tobytes() == want.F[key].tobytes(), key
+            for key in want.R:
+                assert got.R[key].tobytes() == want.R[key].tobytes(), key

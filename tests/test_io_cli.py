@@ -12,6 +12,7 @@ import pytest
 from mtcat import (
     CategoryData,
     FusionRing,
+    InputError,
     ParseError,
     SchemaError,
     ValidationError,
@@ -40,7 +41,7 @@ from mtcat.io import (
     report_to_text,
 )
 
-from conftest import CATALOG, random_rep_a4_data
+from conftest import CATALOG, bump_one_f_and_one_r, random_rep_a4_data
 
 
 @pytest.mark.parametrize(
@@ -113,6 +114,31 @@ def test_dumps_is_the_json_encoder_layout(catalog, name, gauged):
                 weights=weights, central_charge=central, name=data.name,
             )
             assert dumps(copy) == json.dumps(category_to_dict(copy), indent=1, sort_keys=True)
+
+
+def _canonical(data):
+    return json.dumps(category_to_dict(data), indent=1, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", ["su2_k4", "random_rep_a4"])
+def test_dumps_row_template_follows_the_layout(catalog, name):
+    a = random_rep_a4_data(3) if name == "random_rep_a4" else catalog[name].copy()
+    f_key = sorted(a.F)[len(a.F) // 2]
+    r_key = sorted(a.R)[len(a.R) // 3]
+    missing = a.copy()  # the same ring, one F and one R key removed
+    del missing.F[f_key], missing.R[r_key]
+    reshaped = a.copy()  # one block of another shape
+    reshaped.F[f_key] = reshaped.F[f_key].reshape(-1, *reshaped.F[f_key].shape[2:])
+    reordered = a.copy()
+    reordered.F = dict(reversed(reordered.F.items()))
+    first = dumps(a)
+    assert first == _canonical(a)
+    for data in (missing, a, reshaped, a, reordered, a):
+        assert dumps(data) == _canonical(data)
+    assert dumps(a) == first
+    a.F[f_key][(0,) * a.F[f_key].ndim] += 0.5  # in place: the layout is the same
+    a.R[r_key] *= -1
+    assert dumps(a) == _canonical(a) != first
 
 
 def test_content_hash_pinned(catalog):
@@ -414,6 +440,45 @@ def test_cli_verify_does_not_import_numpy_ma(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def _cli(*args):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "mtcat.cli", *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def _one_error_line(proc, fragment):
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0], lines
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-inf", "0", "-1e-9"])
+def test_cli_verify_rejects_a_bad_tolerance(tmp_path, catalog, tol):
+    path = tmp_path / "bumped.json"
+    save(bump_one_f_and_one_r(catalog["su2_k3"]), path)
+    proc = _cli("verify", path, "--json", f"--tol={tol}")
+    _one_error_line(proc, "tolerance must be a finite positive number")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0, "1e-9"])
+def test_run_report_rejects_a_bad_tolerance(fib, tol):
+    with pytest.raises(InputError, match="tolerance must be a finite positive number"):
+        run_report(fib, tolerance=tol)
+
+
+def test_cli_gauge_rejects_a_negative_seed(tmp_path):
+    src, dst = tmp_path / "fib.json", tmp_path / "out.json"
+    main(["gen", "fibonacci", "-o", str(src)])
+    _one_error_line(_cli("gauge", src, "--seed", "-1", "-o", dst), "non-negative integer, got -1")
+    assert not dst.exists()
 
 
 def test_cli_exit_code_2_on_garbage(tmp_path, capsys):

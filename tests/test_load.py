@@ -324,3 +324,79 @@ def test_cli_malformed_value_exits_2(tmp_path, fib, edit, token, message):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
+# --- the fusion rows, read as columns, against the row-by-row oracle ---------
+
+
+def _fusion_edit(index, value):
+    def edit(rows, i):
+        rows[i][index] = value
+
+    return edit
+
+
+def _fusion_row(value):
+    def edit(rows, i):
+        rows[i] = value if not callable(value) else value(rows[i])
+
+    return edit
+
+
+def _fusion_duplicate(rows, i):
+    rows.insert(i + 1 + (len(rows) - i) // 2, list(rows[i]))
+
+
+def _fusion_two(first, second):
+    def edit(rows, i):
+        second(rows, len(rows) - 1)
+        first(rows, i)
+
+    return edit
+
+
+FUSION_CORRUPT = {
+    "label_too_large": _fusion_edit(1, 99),
+    "negative_label": _fusion_edit(0, -1),
+    "huge_label": _fusion_edit(2, 2**70),
+    "duplicate_triple": _fusion_duplicate,
+    "float_entry": _fusion_edit(3, 1.0),
+    "bool_entry": _fusion_edit(0, True),
+    "string_entry": _fusion_edit(2, "1"),
+    "short_row": _fusion_row(lambda row: row[:3]),
+    "long_row": _fusion_row(lambda row: row + [1]),
+    "non_list_row": _fusion_row(7),
+    "negative_multiplicity": _fusion_edit(3, -1),
+    "multiplicity_over_limit": _fusion_edit(3, 2**31),
+    "huge_multiplicity": _fusion_edit(3, 2**70),
+    "negative_then_duplicate": _fusion_two(_fusion_edit(3, -2), _fusion_duplicate),
+    "duplicate_then_short_row": _fusion_two(_fusion_duplicate, _fusion_row([0])),
+    "label_then_float": _fusion_two(_fusion_edit(0, 50), _fusion_edit(1, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "su2_k4", "rep_a4"])
+@pytest.mark.parametrize("case", FUSION_CORRUPT)
+def test_fusion_error_matches_reference(catalog, case, name):
+    data = _data(catalog, name)
+    doc = _doc(data)
+    i = int(np.random.default_rng(len(case)).integers(len(doc["fusion"]) - 1))
+    FUSION_CORRUPT[case](doc["fusion"], i)
+    with pytest.raises(MtcatError) as want:
+        reference_io.fusion_table(copy.deepcopy(doc), data.ring.size)
+    with pytest.raises(MtcatError) as got:
+        category_from_dict(doc)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in CATALOG] + ["rep_a4"])
+def test_fusion_table_matches_reference(catalog, name):
+    doc = _doc(_data(catalog, name))
+    rng = np.random.default_rng(5)
+    doc["fusion"] = [doc["fusion"][i] for i in rng.permutation(len(doc["fusion"]))]
+    N = np.array(_data(catalog, name).ring.N)
+    if (N == 0).any():  # a row of multiplicity 0 is allowed
+        doc["fusion"].insert(1, [*np.argwhere(N == 0)[-1].tolist(), 0])
+    ring = category_from_dict(copy.deepcopy(doc)).ring
+    assert np.array_equal(ring.N, reference_io.fusion_table(doc, ring.size))
