@@ -24,7 +24,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
+import threading
+import weakref
 from dataclasses import dataclass, field
 from itertools import compress
 
@@ -47,9 +50,7 @@ def f_block_shape(ring: FusionRing, a, b, c, d, e, f):
 
 def admissible_f_keys(ring: FusionRing) -> list[FKey]:
     """All F keys whose four multiplicity ranges are non-empty, in lex order."""
-    if getattr(ring, "_f_keys", None) is None:
-        ring._f_keys = list(map(tuple, _f_key_array(ring).tolist()))
-    return ring._f_keys
+    return _cached(ring, "f key list", lambda: list(map(tuple, _f_key_array(ring).tolist())))
 
 
 def _f_key_array(ring: FusionRing) -> np.ndarray:
@@ -61,14 +62,15 @@ def _f_key_array(ring: FusionRing) -> np.ndarray:
         mask = rows[..., :, None] & cols[..., None, :]
         return np.stack(np.unravel_index(np.flatnonzero(mask), mask.shape), axis=1)  # argwhere
 
-    return _cached(ring, "f_keys", build)
+    return _cached(ring, "f key array", build)
 
 
 def admissible_r_keys(ring: FusionRing) -> list[RKey]:
-    if getattr(ring, "_r_keys", None) is None:
+    def build():
         mask = (ring.N > 0) & (ring.N.transpose(1, 0, 2) > 0)
-        ring._r_keys = [tuple(int(x) for x in row) for row in np.argwhere(mask)]
-    return ring._r_keys
+        return list(map(tuple, np.argwhere(mask).tolist()))
+
+    return _cached(ring, "r key list", build)
 
 
 def fusion_vertices(ring: FusionRing) -> list[RKey]:
@@ -388,21 +390,101 @@ def hexagon_residual(data: CategoryData, direction: str = "braid") -> tuple[floa
 # |sum lhs - sum rhs|.  Columns are named by one letter per label and three per
 # vertex ("cdq" is the basis vector of vertex (c,d,q)); factors that share a
 # vertex contract over it.  The tables depend only on the ring and are built
-# one leading label at a time, so cost and memory follow the instance count.
-# Every cache below lives on the ring: gauge transforms and perturbed copies
-# share the ring object, so repeated evaluations reuse it.
+# one leading label at a time, so cost and memory follow the instance count;
+# they are then cut into blocks of whole instances, evaluated one at a time.
+#
+# Every cache below is kept in the ring's plan, which the process-wide store
+# shares among all rings of equal content (names, dual, N: what ``==``
+# compares).  Loading many data sets over one set of fusion rules therefore
+# builds the plan once.  A plan lives while a ring holds it; after that it
+# stays in the store, least recently released first out, while the idle
+# plans together hold at most _PLAN_BUDGET bytes of arrays and text.
+
+_PLAN_BUDGET = 64 << 20  # bytes kept for the plans that no live ring holds
+_BLOCK_TERMS = 1 << 14  # terms per table of a block: complex temporaries near 256 KB
+_plans: dict = {}  # ring content -> _Plan
+_idle: dict = {}  # content -> bytes, of the plans no live ring holds, in release order
+_store_lock = threading.RLock()  # reentrant: a ring may be freed, and released, inside _plan
+
+
+class _Plan(dict):
+    """Everything derived from the content of a ring: name -> (key, value, bytes)."""
+
+    def __init__(self, content: tuple):
+        super().__init__()
+        self.content, self.holders = content, 0
+
+
+def _plan(ring: FusionRing) -> _Plan:
+    """The plan of the ring, found in the store or made, and held until the ring is freed."""
+    plan = ring._plan
+    if plan is None:
+        content = (tuple(ring.names), ring.dual.tobytes(), ring.N.tobytes())
+        with _store_lock:
+            plan = _plans.get(content)
+            if plan is None:
+                plan = _plans[content] = _Plan(content)
+            _idle.pop(content, None)
+            plan.holders += 1
+        weakref.finalize(ring, _release, plan).atexit = False
+        ring._plan = plan
+    return plan
+
+
+def _release(plan: _Plan):
+    """A ring holding ``plan`` was freed: keep the plan only within the budget."""
+    with _store_lock:
+        plan.holders -= 1
+        if plan.holders or _plans.get(plan.content) is not plan:
+            return
+        size = sum(entry[2] for entry in plan.values())
+        if size > _PLAN_BUDGET:  # would push out every other plan
+            del _plans[plan.content]
+            return
+        _idle[plan.content] = size
+        total = sum(_idle.values())
+        while total > _PLAN_BUDGET:
+            content = next(iter(_idle))
+            total -= _idle.pop(content)
+            del _plans[content]
 
 
 def _cached(ring: FusionRing, name: str, build, key=None):
-    """``build()``, kept on the ring under ``name`` while ``key`` equals the one it was built for.
+    """``build()``, kept in the ring's plan under ``name`` while ``key`` equals the one it
+    was built for.
 
     A key is a layout, such as the key order of a symbol table: data on one
     ring mostly share their key objects, so comparing them costs little.
     """
-    cache = ring._coherence_tables
-    if name not in cache or cache[name][0] != key:
-        cache[name] = key, build()
-    return cache[name][1]
+    plan = _plan(ring)
+    entry = plan.get(name)
+    if entry is None or entry[0] != key:
+        value = build()
+        plan[name] = entry = key, value, _nbytes(value)
+    return entry[1]
+
+
+def _nbytes(value) -> int:
+    """Bytes of the arrays and strings in a cached value.
+
+    A list holds items of one kind: a list of numbers or of tuples of numbers,
+    such as keys, counts 0 without a look at each item.
+    """
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, str):
+        return len(value)
+    if isinstance(value, dict):
+        value = tuple(value.values())
+    elif hasattr(value, "__dict__"):
+        value = tuple(vars(value).values())
+    if isinstance(value, list) and value:
+        first = value[0][0] if isinstance(value[0], tuple) and value[0] else value[0]
+        if isinstance(first, numbers.Number):
+            return 0
+    if isinstance(value, (list, tuple)):
+        return sum(map(_nbytes, value))
+    return 0
 
 
 def _layout(ring: FusionRing) -> _Layout:
@@ -410,10 +492,68 @@ def _layout(ring: FusionRing) -> _Layout:
 
 
 def _coherence_tables(ring: FusionRing, identity: str) -> list:
-    """The instance tables of one identity: (witnesses, lhs, rhs) per leading label."""
+    """The instance tables of one identity in blocks of whole instances: (witnesses, lhs, rhs)
+    per block, in instance order; a term's instance counts from the first of its block."""
     build = _pentagon_chunk if identity == "pentagon" else _hexagon_chunk
     chunks = (build(ring.N, _layout(ring), a) for a in range(ring.size))
-    return _cached(ring, identity, lambda: [chunk for chunk in chunks if len(chunk[0])])
+    return _cached(ring, identity, lambda: _in_blocks(chunk for chunk in chunks if len(chunk[0])))
+
+
+def _in_blocks(chunks) -> list:
+    """The tables of each leading label in blocks of whole instances, with about
+    _BLOCK_TERMS terms or fewer per table.
+
+    A large table is cut into pieces that are views of it; the tables of
+    consecutive labels with at most _BLOCK_TERMS terms together are joined
+    into one block.
+    """
+    blocks, pending, terms = [], [], 0
+    for chunk in chunks:
+        size = chunk[1].shape[1] + chunk[2].shape[1]
+        if pending and terms + size > _BLOCK_TERMS:
+            blocks.append(_join(pending))
+            pending, terms = [], 0
+        if max(chunk[1].shape[1], chunk[2].shape[1]) > _BLOCK_TERMS:
+            blocks.extend(_pieces(chunk))
+        else:
+            pending.append(chunk)
+            terms += size
+    if pending:
+        blocks.append(_join(pending))
+    return blocks
+
+
+def _pieces(chunk: tuple):
+    """Views of the tables of one leading label, each of whole instances.
+
+    A piece starts at the instance of every _BLOCK_TERMS-th term of either
+    table, so each table of a piece has fewer terms than that besides those
+    of its first instance.  The instance row is rewritten in place to count
+    from the first instance of each piece.
+    """
+    witnesses, lhs, rhs = chunk
+    step = _BLOCK_TERMS
+    starts = sorted({0, len(witnesses), *lhs[0, ::step].tolist(), *rhs[0, ::step].tolist()})
+    l_at, r_at = (np.searchsorted(table[0], starts).tolist() for table in (lhs, rhs))
+    for i, j, l0, l1, r0, r1 in zip(starts, starts[1:], l_at, l_at[1:], r_at, r_at[1:]):
+        lhs[0, l0:l1] -= i
+        rhs[0, r0:r1] -= i
+        yield witnesses[i:j], lhs[:, l0:l1], rhs[:, r0:r1]
+
+
+def _join(chunks: list) -> tuple:
+    """One block of the tables of consecutive leading labels, copied together."""
+    if len(chunks) == 1:
+        return chunks[0]
+    counts = [len(witnesses) for witnesses, _, _ in chunks]
+    first = np.cumsum(counts) - counts
+    out = [np.concatenate([witnesses for witnesses, _, _ in chunks])]
+    for side in (1, 2):
+        tables = [chunk[side] for chunk in chunks]
+        table = np.concatenate(tables, axis=1)
+        table[0] += np.repeat(first, [t.shape[1] for t in tables]).astype(np.int32)
+        out.append(table)
+    return tuple(out)
 
 
 class _Layout:
@@ -694,21 +834,34 @@ def _inverses(blocks: list) -> list:
 
 
 def _sum(vals: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
+    """Per instance, the sum of its terms in term order.
+
+    The factors are multiplied left to right into new arrays by ``np.multiply``.
+    A complex product can round differently when its operands are swapped or
+    when it is written over one of them, and the ``*`` operator does both with a
+    temporary of 256 KB or more, so a product would depend on the table's size.
+    """
     instance, *offsets = terms
     product = np.take(vals, offsets[0])
     for offset in offsets[1:]:
-        product = product * np.take(vals, offset)
+        product = np.multiply(product, np.take(vals, offset))
     return np.bincount(instance, product.real, n) + 1j * np.bincount(instance, product.imag, n)
 
 
-def _worst_instance(chunks: list, vals: np.ndarray) -> tuple[float, tuple]:
+def _residuals(vals: np.ndarray, block: tuple) -> np.ndarray:
+    """|sum lhs - sum rhs| of every instance of a block."""
+    witnesses, lhs, rhs = block
+    n = len(witnesses)
+    return np.abs(_sum(vals, lhs, n) - _sum(vals, rhs, n))
+
+
+def _worst_instance(blocks: list, vals: np.ndarray) -> tuple[float, tuple]:
     """Largest residual and the first instance reaching it; a NaN always wins."""
     tops = []
-    for witnesses, lhs, rhs in chunks:
-        n = len(witnesses)
-        residual = np.abs(_sum(vals, lhs, n) - _sum(vals, rhs, n))
+    for block in blocks:
+        residual = _residuals(vals, block)
         k = int(np.argmax(residual))
-        tops.append((float(residual[k]), tuple(int(x) for x in witnesses[k])))
+        tops.append((float(residual[k]), tuple(int(x) for x in block[0][k])))
     if not tops:
         return 0.0, ()
     return tops[int(np.argmax([res for res, _ in tops]))]
@@ -745,7 +898,7 @@ class GaugeTransform:
         """
         keys = list(self.matrices)
         mats = [np.asarray(g, dtype=complex) for g in self.matrices.values()]
-        a, b, c = np.array(keys, dtype=np.intp).reshape(-1, 3).T
+        a, b, c = _gauge_labels(self.ring, keys).T
         n = self.ring.N[a, b, c]
         flagged = np.ones(len(keys), dtype=bool)  # inadmissible or misshapen until cleared
         unit = _unit_triples(self.ring, a, b, c)
@@ -761,6 +914,26 @@ class GaugeTransform:
             flagged[pick] = ~invertible | (unit[pick] & ~pinned)
         for i in np.flatnonzero(flagged).tolist():
             _check_gauge_matrix(self.ring, keys[i], mats[i], cond_tol)
+
+
+def _gauge_labels(ring: FusionRing, keys: list) -> np.ndarray:
+    """The gauge keys as a (keys, 3) label array; InputError names the first key that is not
+    three label indices."""
+    try:
+        labels = np.array(keys).reshape(len(keys), -1)
+    except ValueError:  # keys of different lengths
+        labels = np.empty((0, 0))
+    if labels.shape[1:] == (3,) and labels.dtype.kind in "iu":
+        if ((labels >= 0) & (labels < ring.size)).all():
+            return labels
+    for key in keys:
+        if not (
+            isinstance(key, tuple)
+            and len(key) == 3
+            and all(isinstance(x, numbers.Integral) and 0 <= x < ring.size for x in key)
+        ):
+            raise InputError(f"gauge key {key!r} is not three label indices in 0..{ring.size - 1}")
+    return np.array(keys, dtype=np.intp).reshape(-1, 3)
 
 
 def _check_gauge_matrix(ring: FusionRing, key, g: np.ndarray, cond_tol: float):

@@ -75,10 +75,7 @@ class FusionRing:
             raise InputError(f"fusion tensor has shape {self.N.shape}, expected ({m},{m},{m})")
         self.dual.setflags(write=False)
         self.N.setflags(write=False)
-        # lazy caches for admissibility bookkeeping (ring is immutable)
-        self._coherence_tables = {}  # see category_data._cached
-        self._f_keys = None
-        self._r_keys = None
+        self._plan = None  # what is derived from the content; see category_data._plan
 
     @property
     def size(self) -> int:

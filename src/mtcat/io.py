@@ -66,7 +66,7 @@ def dumps(data: CategoryData) -> str:
 
     The symbol tables are written through a row template instead of the json
     encoder, which is pure Python when it indents, and the text of the ring's
-    fields is kept on the ring.
+    fields is kept in the ring's plan.
     """
     ring = data.ring
     texts = dict(_cached(ring, "ring text", lambda: _field_texts(_ring_fields(ring))))
@@ -134,7 +134,7 @@ def _table_text(ring: FusionRing, table: dict, kind: str) -> str:
     """A symbol table as ``json.dumps`` writes it one level deep with ``indent=1``.
 
     Everything in a row but its two floats depends only on the keys and the
-    block shapes, so the rows are a ``%``-template cached on the ring and
+    block shapes, so the rows are a ``%``-template kept in the ring's plan and
     reused while the table has the keys, in the same order, and the shapes it
     was built from.  The cache holds no values: each call gathers them afresh.
     """
@@ -496,6 +496,8 @@ def run_report(data: CategoryData, checks=None, tolerance: float = 1e-9) -> dict
     if checks is None:
         checks = CHECK_NAMES
     checks = list(checks)
+    if not checks:
+        raise InputError(f"no check selected; known: {', '.join(CHECK_NAMES)}")
     for c in checks:
         if c not in CHECK_NAMES:
             raise InputError(f"unknown check {c!r}; known: {', '.join(CHECK_NAMES)}")

@@ -20,7 +20,11 @@ pair and channel at a time, against the array helpers of
 matrix by dense block-diagonal gauges, against the block-by-block transform
 of the package.  ``random_gauge`` draws and factors one vertex matrix at a
 time and ``validate_gauge`` checks one vertex at a time, against the draw and
-the QR and SVD per matrix size of the package.
+the QR and SVD per matrix size of the package.  ``unblocked_tables`` holds
+the tables of each leading label whole, and ``residuals`` and
+``worst_instance`` evaluate them one table at a time, against the blocks of
+whole instances that the package evaluates; ``concatenated`` joins either
+into one table whose terms count their instance from the first of all.
 """
 
 import numpy as np
@@ -441,3 +445,56 @@ def _grow(t, row, new):
 
 def _terms(t, *offsets):
     return np.stack([t["instance"], *offsets]).astype(np.int32)
+
+
+def unblocked_tables(ring, identity):
+    """(witnesses, lhs, rhs) per leading label with instances, as built before blocking."""
+    from mtcat.category_data import _layout
+
+    build = pentagon_tables if identity == "pentagon" else hexagon_tables
+    chunks = (build(ring.N, _layout(ring), a) for a in range(ring.size))
+    return [chunk for chunk in chunks if len(chunk[0])]
+
+
+def _sum(vals, terms, n):
+    # np.multiply into a new array, not *: numpy may write a product of 256 KB or
+    # more over the right-hand temporary, operands swapped, which can round otherwise
+    instance, *offsets = terms
+    product = np.take(vals, offsets[0])
+    for offset in offsets[1:]:
+        product = np.multiply(product, np.take(vals, offset))
+    return np.bincount(instance, product.real, n) + 1j * np.bincount(instance, product.imag, n)
+
+
+def residuals(vals, chunk):
+    witnesses, lhs, rhs = chunk
+    n = len(witnesses)
+    return np.abs(_sum(vals, lhs, n) - _sum(vals, rhs, n))
+
+
+def worst_instance(chunks, vals):
+    """Largest residual and the first instance reaching it; a NaN always wins."""
+    tops = []
+    for witnesses, lhs, rhs in chunks:
+        residual = residuals(vals, (witnesses, lhs, rhs))
+        k = int(np.argmax(residual))
+        tops.append((float(residual[k]), tuple(int(x) for x in witnesses[k])))
+    if not tops:
+        return 0.0, ()
+    return tops[int(np.argmax([res for res, _ in tops]))]
+
+
+def concatenated(tables):
+    """One (witnesses, lhs, rhs) of a list of them, each term's instance counted from the
+    first instance of the whole list."""
+    counts = [len(witnesses) for witnesses, _, _ in tables]
+    first = np.cumsum(counts) - counts
+    out = [np.concatenate([witnesses for witnesses, _, _ in tables])]
+    for side in (1, 2):
+        parts = []
+        for table, start in zip(tables, first):
+            part = table[side].astype(np.int64)
+            part[0] += start
+            parts.append(part)
+        out.append(np.concatenate(parts, axis=1))
+    return tuple(out)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -108,21 +109,17 @@ def _vec_s3_ring():
 
 @pytest.mark.parametrize("name", [name for name, _, _ in CATALOG] + ["rep_a4", "vec_s3"])
 def test_tables_match_reference(catalog, name):
-    # the copy-free tables against the row-copying builders: same rows, same order
+    # the copy-free tables, in blocks, against the row-copying builders: the
+    # blocks joined end to end have the same rows in the same order
     rings = {"rep_a4": lambda: random_rep_a4_data(7).ring, "vec_s3": _vec_s3_ring}
     ring = catalog[name].ring if name in catalog else rings[name]()
     assert validate_ring(ring).ok
-    lay = category_data._layout(ring)
-    for identity, build in (
-        ("pentagon", reference.pentagon_tables),
-        ("hexagon", reference.hexagon_tables),
-    ):
-        want = [chunk for chunk in (build(ring.N, lay, a) for a in range(ring.size)) if len(chunk[0])]
-        got = category_data._coherence_tables(ring, identity)
-        assert len(got) == len(want), identity
-        for got_chunk, want_chunk in zip(got, want):
-            for got_table, want_table in zip(got_chunk, want_chunk):
-                assert np.array_equal(got_table, want_table), identity
+    for identity in ("pentagon", "hexagon"):
+        want = reference.concatenated(reference.unblocked_tables(ring, identity))
+        got = reference.concatenated(category_data._coherence_tables(ring, identity))
+        for got_table, want_table in zip(got, want, strict=True):
+            assert got_table.shape == want_table.shape, identity
+            assert np.array_equal(got_table, want_table), identity
 
 
 def test_inverse_braid_with_a_singular_block():
@@ -387,6 +384,13 @@ def test_diagonal_unimodular_gauge(fib):
 def test_gauge_rejects_unit_triple(fib):
     g = GaugeTransform(ring=fib.ring, matrices={(0, 1, 1): np.array([[2.0]])})
     with pytest.raises(InputError, match="unit triple"):
+        gauge_transform(fib, g)
+
+
+@pytest.mark.parametrize("key", [(-1, 1, 1), (5, 1, 1), (1, 1)])
+def test_gauge_rejects_a_key_that_is_not_three_labels(fib, key):
+    g = GaugeTransform(ring=fib.ring, matrices={key: np.array([[2.0]])})
+    with pytest.raises(InputError, match=rf"gauge key {re.escape(repr(key))} is not three label"):
         gauge_transform(fib, g)
 
 

@@ -423,9 +423,10 @@ def test_cli_verify_reports_vanishing_unit_channel_element(tmp_path, capsys):
 
 
 def test_cli_verify_does_not_import_numpy_ma(tmp_path):
-    # numpy.ma costs 10-13 ms of every CLI process, and np.unique imports it
-    path = tmp_path / "su2_k3.json"
-    main(["gen", "su2_level", "--level", "3", "-o", str(path)])
+    # numpy.ma costs 10-13 ms of every CLI process, and np.unique imports it;
+    # at level 7 the pentagon tables are cut into blocks
+    path = tmp_path / "su2_k7.json"
+    main(["gen", "su2_level", "--level", "7", "-o", str(path)])
     code = (
         "import sys\n"
         "from mtcat.cli import main\n"
@@ -472,6 +473,20 @@ def test_cli_verify_rejects_a_bad_tolerance(tmp_path, catalog, tol):
 def test_run_report_rejects_a_bad_tolerance(fib, tol):
     with pytest.raises(InputError, match="tolerance must be a finite positive number"):
         run_report(fib, tolerance=tol)
+
+
+@pytest.mark.parametrize("checks", ["", ",", " , "])
+def test_cli_verify_rejects_an_empty_check_selection(tmp_path, catalog, checks):
+    path = tmp_path / "bumped.json"
+    save(bump_one_f_and_one_r(catalog["su2_k3"]), path)
+    proc = _cli("verify", path, "--json", f"--checks={checks}")
+    _one_error_line(proc, "no check selected")
+    assert proc.stdout == ""
+
+
+def test_run_report_rejects_an_empty_check_selection(fib):
+    with pytest.raises(InputError, match="no check selected"):
+        run_report(fib, checks=[])
 
 
 def test_cli_gauge_rejects_a_negative_seed(tmp_path):

@@ -1,0 +1,239 @@
+"""The plan store shared by rings of equal content, and the block-wise evaluation
+against the unblocked oracle of ``reference_coherence``."""
+
+import gc
+import math
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from mtcat import CategoryData, FusionRing, dumps, gauge_transform, loads, make, random_gauge
+from mtcat import category_data
+from mtcat.category_data import _coherence_tables, _plan, _with_r, _f_values
+
+import reference_coherence as reference
+from conftest import CATALOG, bump_one_f_and_one_r, random_rep_a4_data
+
+
+@pytest.fixture
+def empty_store(monkeypatch):
+    """A store with no plan in it, for tests that count plan builds; rings made before the
+    test keep the plans they hold."""
+    monkeypatch.setattr(category_data, "_plans", {})
+    monkeypatch.setattr(category_data, "_idle", {})
+
+
+@pytest.fixture
+def pentagon_builds(monkeypatch):
+    """The leading labels for which a pentagon table has been built, in build order."""
+    built, build = [], category_data._pentagon_chunk
+
+    def counting(N, lay, a):
+        built.append(a)
+        return build(N, lay, a)
+
+    monkeypatch.setattr(category_data, "_pentagon_chunk", counting)
+    return built
+
+
+def _plan_bytes(content):
+    return sum(entry[2] for entry in category_data._plans[content].values())
+
+
+# --- the store ---------------------------------------------------------------
+
+
+def test_two_loads_of_one_text_build_the_pentagon_plan_once(empty_store, pentagon_builds):
+    text = dumps(make("su2_level", level=3))
+    first, second = loads(text), loads(text)
+    assert first.ring is not second.ring
+    assert category_data.pentagon_residual(first) == category_data.pentagon_residual(second)
+    assert pentagon_builds == list(range(first.ring.size))  # once per leading label
+    assert _plan(first.ring) is _plan(second.ring)
+
+
+def test_z4_with_q0_and_q2_share_a_plan(empty_store, pentagon_builds):
+    q0 = make("pointed_zn", n=4, q_exponent=0)
+    q2 = make("pointed_zn", n=4, q_exponent=2)
+    assert q0.ring == q2.ring and q0.ring is not q2.ring
+    assert _plan(q0.ring) is _plan(q2.ring)
+    category_data.coherence_summary(q0)
+    category_data.coherence_summary(q2)
+    assert pentagon_builds == [0, 1, 2, 3]
+
+
+def test_rings_that_differ_only_in_names_dual_or_n_do_not_share(empty_store):
+    base = make("pointed_zn", n=3, q_exponent=2).ring
+    names = FusionRing(["e", "x", "y"], base.dual, base.N)
+    dual = FusionRing(base.names, [0, 1, 2], base.N)  # not a valid ring: only the plan matters
+    N = base.N.copy()
+    N[1, 1, 2] = 2
+    mult = FusionRing(base.names, base.dual, N)
+    plans = [_plan(ring) for ring in (base, names, dual, mult)]
+    assert len({id(plan) for plan in plans}) == 4
+    assert _plan(FusionRing(base.names, base.dual, base.N)) is plans[0]
+
+
+def test_a_plan_lives_while_a_ring_holds_it(empty_store):
+    a, b = make("fibonacci"), make("fibonacci")
+    plan = _plan(a.ring)
+    assert _plan(b.ring) is plan and plan.holders == 2
+    category_data.coherence_summary(a)
+    del a
+    gc.collect()
+    assert plan.holders == 1 and not category_data._idle
+    del b
+    gc.collect()
+    assert list(category_data._idle) == [plan.content]  # idle, and kept: it fits the budget
+    again = make("fibonacci")
+    assert _plan(again.ring) is plan and not category_data._idle
+
+
+def test_idle_plans_stay_within_the_budget(empty_store, monkeypatch):
+    sizes = {}
+    for n in range(2, 10):
+        data = make("pointed_zn", n=n, q_exponent=2)
+        category_data.coherence_summary(data)
+        sizes[n] = _plan_bytes(_plan(data.ring).content)
+    assert all(sizes[n] < sizes[n + 1] for n in range(2, 9))
+    monkeypatch.setattr(category_data, "_PLAN_BUDGET", sizes[8] + sizes[9])
+    monkeypatch.setattr(category_data, "_plans", {})
+    monkeypatch.setattr(category_data, "_idle", {})
+
+    def release(n):
+        data = make("pointed_zn", n=n, q_exponent=2)
+        content = _plan(data.ring).content
+        category_data.coherence_summary(data)
+        del data
+        gc.collect()
+        idle = category_data._idle
+        assert sum(idle.values()) <= category_data._PLAN_BUDGET
+        assert all(idle[c] == _plan_bytes(c) for c in idle)  # the counts are the plans' bytes
+        assert set(category_data._plans) == set(idle)  # no live ring: every plan kept is idle
+        return content in idle
+
+    assert all(release(n) for n in range(2, 10))  # each fits the budget alone
+    assert [len(names) for names, _, _ in category_data._idle] == [8, 9]
+    assert release(2)  # least recently released out first
+    assert [len(names) for names, _, _ in category_data._idle] == [9, 2]
+    # a plan larger than the budget is dropped alone
+    monkeypatch.setattr(category_data, "_PLAN_BUDGET", sizes[9] - 1)
+    assert not release(9)
+    assert [len(names) for names, _, _ in category_data._idle] == [2]
+
+
+def test_threads_share_the_store(empty_store):
+    bases = [make("pointed_zn", n=n, q_exponent=2).ring for n in (2, 3, 4)] + [make("ising").ring]
+    kept = [[] for _ in range(6)]  # rings each worker keeps alive to the end
+    errors = []
+
+    def work(keep):
+        try:
+            for i in range(300):
+                base = bases[i % len(bases)]
+                ring = FusionRing(base.names, base.dual, base.N)
+                keys = category_data.admissible_f_keys(ring)
+                assert keys == category_data.admissible_f_keys(base)
+                if i % 7 == 0:
+                    keep.append(ring)
+        except Exception as exc:  # reported below: an assertion in a thread fails nothing
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(keep,)) for keep in kept]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers) and not errors, errors
+    gc.collect()
+    live = [ring for keep in kept for ring in keep] + bases
+    for base in bases:  # a lost update of a count would break this
+        plan = _plan(base)
+        assert plan.holders == sum(ring._plan is plan for ring in live)
+        assert all(ring._plan is plan for ring in live if ring == base)
+    assert not category_data._idle
+
+
+# --- block-wise evaluation against the unblocked oracle ----------------------
+
+BLOCK_DATA = [name for name, _, _ in CATALOG] + ["rep_a4"]
+
+
+def _variants(catalog, name):
+    """The data, a seeded gauge of it, a bumped copy and a copy with one NaN entry."""
+    data = random_rep_a4_data(7) if name == "rep_a4" else catalog[name]
+    nan = data.copy()
+    key = sorted(nan.F)[len(nan.F) // 2]
+    nan.F[key].flat[-1] = np.nan
+    return {
+        "plain": data,
+        "gauged": gauge_transform(data, random_gauge(data.ring, 0)),
+        "bumped": bump_one_f_and_one_r(data),
+        "nan": nan,
+    }
+
+
+def _values(data):
+    """identity -> the flat value arrays it is evaluated on."""
+    f = _f_values(data)
+    return {
+        "pentagon": [f],
+        "hexagon": [_with_r(data, f, "braid"), _with_r(data, f, "inverse_braid")],
+    }
+
+
+def _assert_blocks_match_oracle(data):
+    for identity, values in _values(data).items():
+        blocks = _coherence_tables(data.ring, identity)
+        chunks = reference.unblocked_tables(data.ring, identity)
+        assert np.array_equal(
+            np.concatenate([w for w, _, _ in blocks]), np.concatenate([w for w, _, _ in chunks])
+        )
+        for vals in values:
+            got = np.concatenate([category_data._residuals(vals, block) for block in blocks])
+            want = np.concatenate([reference.residuals(vals, chunk) for chunk in chunks])
+            assert got.tobytes() == want.tobytes(), identity  # bit for bit, NaN included
+            got = category_data._worst_instance(blocks, vals)
+            want = reference.worst_instance(chunks, vals)
+            assert repr(got) == repr(want), identity  # repr: a NaN residual equals itself
+
+
+@pytest.mark.parametrize("name", BLOCK_DATA)
+def test_blocks_match_the_unblocked_oracle(catalog, name):
+    variants = _variants(catalog, name)
+    for data in variants.values():
+        _assert_blocks_match_oracle(data)
+    residual, _ = category_data.pentagon_residual(variants["nan"])
+    assert math.isnan(residual)
+
+
+def test_rep_a4_instances_have_several_terms():
+    ring = random_rep_a4_data(7).ring
+    for identity in ("pentagon", "hexagon"):
+        witnesses, lhs, rhs = reference.concatenated(reference.unblocked_tables(ring, identity))
+        assert np.bincount(lhs[0]).max() > 1 and np.bincount(rhs[0]).max() > 1, identity
+
+
+@pytest.mark.parametrize("block_terms", [1, 5, 64])
+@pytest.mark.parametrize("name", ["rep_a4", "su2_k4"])
+def test_instances_with_more_terms_than_a_block(catalog, empty_store, monkeypatch, name,
+                                                block_terms):
+    monkeypatch.setattr(category_data, "_BLOCK_TERMS", block_terms)
+    variants = _variants(catalog, name)
+    base = variants["plain"].ring
+    ring = FusionRing(base.names, base.dual, base.N)  # a new plan, so blocks of this size
+    for data in variants.values():
+        _assert_blocks_match_oracle(CategoryData(ring=ring, F=data.F, R=data.R))
+    blocks = _coherence_tables(ring, "pentagon")
+    assert len(blocks) > 1
+    for _, lhs, rhs in blocks:  # at most block_terms terms per table besides the first instance's
+        assert np.count_nonzero(lhs[0]) <= block_terms and np.count_nonzero(rhs[0]) <= block_terms
+    if block_terms == 1:  # every instance has a term: one instance per block
+        assert all(len(w) == 1 for w, _, _ in blocks)
