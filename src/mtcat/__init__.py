@@ -8,6 +8,8 @@ group categories).
 """
 
 __version__ = "0.1.0"
+# the catalog's families, here so that the CLI lists them without importing the catalog
+_FAMILIES = ("trivial", "pointed_zn", "fibonacci", "ising", "su2_level")
 
 from .errors import (
     ComputationError,
@@ -58,7 +60,6 @@ from .ribbon_modular import (
     t_matrix,
     twist,
 )
-from .catalog import CatalogSpec, generate, make, q_racah_6j
 from .io import load, loads, save, dumps, run_report, report_to_json, report_to_text
 
 __all__ = [
@@ -85,3 +86,10 @@ __all__ = [
     "load", "loads", "save", "dumps", "run_report",
     "report_to_json", "report_to_text",
 ]
+
+
+def __getattr__(name):  # the catalog is imported on first use: of the CLI, only gen needs it
+    if name in ("CatalogSpec", "generate", "make", "q_racah_6j"):
+        from . import catalog
+        return getattr(catalog, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,11 +28,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _FAMILIES as FAMILIES
 from .category_data import CategoryData, admissible_f_keys, admissible_r_keys, f_block_shape
+from .category_data import _stacked, _table_stacks
 from .errors import InputError
 from .fusion_ring import UNIT, FusionRing
-
-FAMILIES = ("trivial", "pointed_zn", "fibonacci", "ising", "su2_level")
 
 MAX_LEVEL = 12
 
@@ -116,8 +116,8 @@ def _finalize(ring, F, R, weights, central_charge, name) -> CategoryData:
             raise InputError(f"generator left R entry {key} unset")
     return CategoryData(
         ring=ring,
-        F=F,
-        R=R,
+        F=_stacked(ring, "F", F, _table_stacks(ring, F, "F")),
+        R=_stacked(ring, "R", R, _table_stacks(ring, R, "R")),
         weights=np.asarray(weights, dtype=float),
         central_charge=float(central_charge),
         name=name,

@@ -50,19 +50,15 @@ def f_block_shape(ring: FusionRing, a, b, c, d, e, f):
 
 def admissible_f_keys(ring: FusionRing) -> list[FKey]:
     """All F keys whose four multiplicity ranges are non-empty, in lex order."""
-    return _cached(ring, "f key list", lambda: list(map(tuple, _f_key_array(ring).tolist())))
 
-
-def _f_key_array(ring: FusionRing) -> np.ndarray:
-    """The admissible F keys as a (keys, 6) array: those whose block has a row and a column."""
-
-    def build():
+    def build():  # the keys whose block has a row and a column
         lay, shape = _layout(ring), (ring.size,) * 5
         rows, cols = lay.rows.reshape(shape) > 0, lay.cols.reshape(shape) > 0
         mask = rows[..., :, None] & cols[..., None, :]
-        return np.stack(np.unravel_index(np.flatnonzero(mask), mask.shape), axis=1)  # argwhere
+        keys = np.stack(np.unravel_index(np.flatnonzero(mask), mask.shape), axis=1)  # argwhere
+        return list(map(tuple, keys.tolist()))
 
-    return _cached(ring, "f key array", build)
+    return _cached(ring, "f key list", build)
 
 
 def admissible_r_keys(ring: FusionRing) -> list[RKey]:
@@ -115,8 +111,8 @@ class CategoryData:
     def copy(self) -> "CategoryData":
         return CategoryData(
             ring=self.ring,
-            F={k: v.copy() for k, v in self.F.items()},
-            R={k: v.copy() for k, v in self.R.items()},
+            F=_copied(self.ring, self.F, "F"),
+            R=_copied(self.ring, self.R, "R"),
             weights=None if self.weights is None else self.weights.copy(),
             central_charge=self.central_charge,
             name=self.name,
@@ -130,36 +126,30 @@ def validate_symbols(data: CategoryData, cond_tol: float = 1e-12) -> list[tuple]
     """
     problems = []
     ring = data.ring
-    N = ring.N
-    want_f = set(admissible_f_keys(ring))
-    have_f = set(data.F)
-    for key in sorted(want_f - have_f):
-        problems.append(("missing-F", key, "admissible F entry absent"))
-    for key in sorted(have_f - want_f):
-        problems.append(("extra-F", key, "F entry present for inadmissible tuple"))
-    keys = admissible_f_keys(ring)
-    present = np.fromiter(map(have_f.__contains__, keys), bool, len(keys))
-    a, b, c, d, e, f = _f_key_array(ring)[present].T
-    shapes = zip(*(x.tolist() for x in (N[b, c, e], N[a, e, d], N[a, b, f], N[f, c, d])))
-    for key, shape in zip(compress(keys, present), shapes):
-        if data.F[key].shape != shape:
-            problems.append(("shape-F", key, f"block shape {data.F[key].shape}, expected {shape}"))
-    want_r = set(admissible_r_keys(ring))
-    have_r = set(data.R)
+    if not _stacked_on(ring, data.F, "F"):  # a stacked table has every key, of its shape
+        stacking, have_f = _stacking(ring, "F"), set(data.F)
+        for key in sorted(set(stacking.admissible) - have_f):
+            problems.append(("missing-F", key, "admissible F entry absent"))
+        for key in sorted(have_f - set(stacking.admissible)):
+            problems.append(("extra-F", key, "F entry present for inadmissible tuple"))
+        for key, shape in zip(stacking.admissible, stacking.shapes):
+            got = data.F[key].shape if key in have_f else shape
+            if got != shape:
+                problems.append(("shape-F", key, f"block shape {got}, expected {shape}"))
+    stacking, have_r = _stacking(ring, "R"), set(data.R)
+    want_r = set(stacking.admissible)
     for key in sorted(want_r - have_r):
         problems.append(("missing-R", key, "admissible R entry absent"))
     for key in sorted(have_r - want_r):
         problems.append(("extra-R", key, "R entry present for inadmissible tuple"))
-    keys = [key for key in admissible_r_keys(ring) if key in have_r]
-    a, b, c = np.array(keys, dtype=int).reshape(-1, 3).T
-    shapes = list(zip(N[a, b, c].tolist(), N[b, a, c].tolist()))
-    square = [k for k, (n1, n2) in zip(keys, shapes) if data.R[k].shape == (n1, n2) and n1 == n2]
+    present = [(k, shape) for k, shape in zip(stacking.admissible, stacking.shapes) if k in have_r]
+    square = [k for k, shape in present if data.R[k].shape == shape and shape[0] == shape[1]]
     singular_r = set()
     for shape in {data.R[k].shape for k in square}:  # one SVD call per block shape
         group = [k for k in square if data.R[k].shape == shape]
         stack = np.stack([data.R[k] for k in group])
         singular_r.update(compress(group, _singular(stack, cond_tol)))
-    for key, shape in zip(keys, shapes):
+    for key, shape in present:
         block = data.R[key]
         if block.shape != shape:
             problems.append(("shape-R", key, f"block shape {block.shape}, expected {shape}"))
@@ -269,25 +259,15 @@ def f_inverse_unit_check(data: CategoryData, a) -> float:
 
 
 def _pairing_matrices(data: CategoryData) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every label's pairing matrix from the stacked fusing view: (labels, stack) per shape.
-
-    Only the F blocks of the pairing matrices are gathered.
-    """
-    keys, size, index = _cached(data.ring, "pairing", lambda: _pairing_index(data.ring))
-    vals = np.concatenate([block.ravel() for block in _blocks(data.F, keys, "F")])
-    if vals.size != size:
-        raise InputError("F/R blocks do not have their admissible shapes")
-    return [(labels, np.take(vals, offsets)) for labels, offsets in index]
+    """Every label's pairing matrix from the stacked fusing view: (labels, stack) per shape."""
+    f = _f_values(data)
+    index = _cached(data.ring, "pairing", lambda: _pairing_index(data.ring))
+    return [(labels, np.take(f, offsets)) for labels, offsets in index]
 
 
-def _pairing_index(ring: FusionRing) -> tuple[list, int, list]:
-    """The F keys of the pairing matrices, their number of entries, and per matrix shape
-    the labels and the offset of every matrix entry among those entries."""
-    m, N = ring.size, ring.N
-    keys = _f_key_array(ring)
-    a, b, c, d, e, f = keys.T
-    need = (b == ring.dual[a]) & (c == a) & (d == a)
-    kept = np.flatnonzero(np.repeat(need, N[b, c, e] * N[a, e, d] * N[a, b, f] * N[f, c, d]))
+def _pairing_index(ring: FusionRing) -> list:
+    """Per pairing-matrix shape: the labels, and the flat-F offset of every matrix entry."""
+    m = ring.size
     labels = np.arange(m)
     pairing = ((labels * m + ring.dual) * m + labels) * m + labels  # raveled (a, a', a, a)
     index, found = [], np.zeros(m, dtype=bool)
@@ -295,12 +275,12 @@ def _pairing_index(ring: FusionRing) -> tuple[list, int, list]:
         pos = np.minimum(np.searchsorted(abcd, pairing), len(abcd) - 1)
         hit = abcd[pos] == pairing
         found |= hit
-        if hit.any():  # flat-F offsets to offsets among the kept entries
-            index.append((labels[hit], np.searchsorted(kept, offsets[pos[hit]])))
+        if hit.any():
+            index.append((labels[hit], offsets[pos[hit]]))
     if not found.all():  # an empty tree, possible only on an invalid ring
         a = int(np.argmin(found))
         _tree_channels(ring, a, int(ring.dual[a]), a, a)  # raises
-    return list(map(tuple, keys[need].tolist())), len(kept), index
+    return index
 
 
 def _unit_channel(ring: FusionRing) -> np.ndarray:
@@ -328,7 +308,7 @@ def _inverse_unit_checks(data: CategoryData) -> np.ndarray:
     unit = _unit_channel(data.ring)
     out = np.full(data.ring.size, np.nan)
     for labels, mats in _pairing_matrices(data):
-        inverses = np.stack(_inverses(list(mats)))
+        inverses = _inverse(mats)
         gaps = (inverses[:, 0, 0] - mats[:, 0, 0]).tolist()
         out[labels] = list(map(abs, gaps))  # abs() of one entry: np.abs may round otherwise
     out[~unit] = np.nan
@@ -408,7 +388,7 @@ _store_lock = threading.RLock()  # reentrant: a ring may be freed, and released,
 
 
 class _Plan(dict):
-    """Everything derived from the content of a ring: name -> (key, value, bytes)."""
+    """Everything derived from the content of a ring: name -> (value, bytes)."""
 
     def __init__(self, content: tuple):
         super().__init__()
@@ -437,7 +417,7 @@ def _release(plan: _Plan):
         plan.holders -= 1
         if plan.holders or _plans.get(plan.content) is not plan:
             return
-        size = sum(entry[2] for entry in plan.values())
+        size = sum(entry[1] for entry in plan.values())
         if size > _PLAN_BUDGET:  # would push out every other plan
             del _plans[plan.content]
             return
@@ -449,19 +429,14 @@ def _release(plan: _Plan):
             del _plans[content]
 
 
-def _cached(ring: FusionRing, name: str, build, key=None):
-    """``build()``, kept in the ring's plan under ``name`` while ``key`` equals the one it
-    was built for.
-
-    A key is a layout, such as the key order of a symbol table: data on one
-    ring mostly share their key objects, so comparing them costs little.
-    """
+def _cached(ring: FusionRing, name: str, build):
+    """``build()``, kept in the ring's plan under ``name``."""
     plan = _plan(ring)
     entry = plan.get(name)
-    if entry is None or entry[0] != key:
+    if entry is None:
         value = build()
-        plan[name] = entry = key, value, _nbytes(value)
-    return entry[1]
+        plan[name] = entry = value, _nbytes(value)
+    return entry[0]
 
 
 def _nbytes(value) -> int:
@@ -787,35 +762,37 @@ def _terms(t: _Table, instances: _Table, *offsets: np.ndarray) -> np.ndarray:
 
 def _f_values(data: CategoryData) -> np.ndarray:
     """The F entries, flat in ``_Layout`` order."""
-    blocks = _blocks(data.F, admissible_f_keys(data.ring), "F")
-    vals = np.concatenate([block.ravel() for block in blocks]).astype(complex, copy=False)
-    if vals.size != _layout(data.ring).f_size:
-        raise InputError("F/R blocks do not have their admissible shapes")
-    return vals
+    return _flat(data.ring, data.F, "F")
 
 
 def _with_r(data: CategoryData, f: np.ndarray, direction: str) -> np.ndarray:
     """The F entries ``f``, then the R entries for ``direction``, flat in ``_Layout`` order."""
-    keys = admissible_r_keys(data.ring)
-    if direction == "braid":
-        blocks = _blocks(data.R, keys, "R")
+    return np.concatenate([f, _flat(data.ring, data.R, "R", direction != "braid")])
+
+
+def _flat(ring: FusionRing, table: dict, kind: str, invert: bool = False) -> np.ndarray:
+    """The entries of an F or R table in ``_Layout`` order (R counted from its first); with
+    ``invert``, R[x,y,z] is the inverse of R[y,x,z].  A stacked table is read from its stacks,
+    any other gathered key by key: a missing key raises IncompleteData, as ``f_block`` does."""
+    if _stacked_on(ring, table, kind):
+        stacks = list(map(_inverse, table.stacks)) if invert else table.stacks
+        order = table.stacking.inverse_order if invert else table.stacking.order
+        flat = np.concatenate([stack.ravel() for stack in stacks])
+        flat = flat if order is None else np.take(flat, order)
     else:
-        blocks = _inverses(_blocks(data.R, [(y, x, z) for x, y, z in keys], "R"))
-    vals = np.concatenate([f, *(block.ravel() for block in blocks)]).astype(complex, copy=False)
-    if vals.size != _layout(data.ring).size:
+        keys = _stacking(ring, kind).admissible
+        if invert:
+            keys = [(y, x, z) for x, y, z in keys]
+        try:
+            blocks = list(map(table.__getitem__, keys))
+        except KeyError as exc:
+            raise IncompleteData(exc.args[0], kind=kind) from None
+        blocks = _inverses(blocks) if invert else blocks
+        flat = np.concatenate([block.ravel() for block in blocks])
+    lay = _layout(ring)
+    if flat.size != (lay.f_size if kind == "F" else lay.size - lay.f_size):
         raise InputError("F/R blocks do not have their admissible shapes")
-    return vals
-
-
-def _blocks(table: dict, keys: list, kind: str) -> list:
-    """The blocks of ``keys``, looked up in one C-level loop.
-
-    A missing key raises IncompleteData naming it, as ``f_block`` does.
-    """
-    try:
-        return list(map(table.__getitem__, keys))
-    except KeyError as exc:
-        raise IncompleteData(exc.args[0], kind=kind) from None
+    return flat.astype(complex, copy=False)
 
 
 def _inverses(blocks: list) -> list:
@@ -823,14 +800,19 @@ def _inverses(blocks: list) -> list:
     out = list(blocks)
     for shape in {block.shape for block in blocks}:
         pick = [i for i, block in enumerate(blocks) if block.shape == shape]
-        try:
-            inverses = np.linalg.inv(np.stack([blocks[i] for i in pick]))
-        except np.linalg.LinAlgError:  # look for the singular blocks one at a time
-            nan = np.full(shape, np.nan, dtype=complex)
-            inverses = [nan] if len(pick) == 1 else [_inverses([blocks[i]])[0] for i in pick]
-        for i, inverse in zip(pick, inverses):
+        for i, inverse in zip(pick, _inverse(np.stack([blocks[i] for i in pick]))):
             out[i] = inverse
     return out
+
+
+def _inverse(stack: np.ndarray) -> np.ndarray:
+    """The inverse of every matrix of a stack; all NaN for a matrix that has none."""
+    try:
+        return np.linalg.inv(stack)
+    except np.linalg.LinAlgError:  # look for the singular matrices one at a time
+        if len(stack) == 1:
+            return np.full(stack.shape, np.nan, dtype=complex)
+        return np.concatenate([_inverse(stack[i : i + 1]) for i in range(len(stack))])
 
 
 def _sum(vals: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
@@ -995,25 +977,23 @@ def gauge_transform(data: CategoryData, gauge: GaugeTransform) -> CategoryData:
     ring = data.ring
     vertices, groups, slot = _cached(ring, "vertex slots", lambda: _vertex_slots(ring))
     given = list(map(gauge.matrices.get, vertices))
-    g, g_inv = {}, {}  # the vertex matrices stacked by size n, in the order of slot
+    g, gi = {}, {}  # the vertex matrices and their inverses stacked by size n, in slot order
     for n, pick in groups.items():
         eye = np.eye(n, dtype=complex)
         g[n] = np.array([eye if given[i] is None else given[i] for i in pick], dtype=complex)
-        g_inv[n] = np.linalg.inv(g[n])  # each vertex inverted once
-    newF, newR = dict.fromkeys(data.F), dict.fromkeys(data.R)  # keep the key orders
-    for keys, (n1, n2, n3, n4), (s1, s2, s3, s4), blocks in _stacks(ring, data.F, "F"):
-        blocks = np.einsum(
-            "xij,xkl,xjlmn,xmo,xnp->xikop",
-            g[n1][s1], g[n2][s2], blocks, g_inv[n3][s3], g_inv[n4][s4],
-        )
-        newF.update(zip(keys, blocks))
-    for keys, (n1, n2), (s1, s2), blocks in _stacks(ring, data.R, "R"):
-        blocks = g_inv[n1][s1].transpose(0, 2, 1) @ blocks @ g[n2][s2].transpose(0, 2, 1)
-        newR.update(zip(keys, blocks))
+        gi[n] = np.linalg.inv(g[n])  # each vertex inverted once
+    f_stacks, r_stacks = (zip(_table_stacks(ring, table, kind), _stacking(ring, kind).groups)
+                          for kind, table in (("F", data.F), ("R", data.R)))
+    F = [
+        np.einsum("xij,xkl,xjlmn,xmo,xnp->xikop", g[n1][s1], g[n2][s2], x, gi[n3][s3], gi[n4][s4])
+        for x, ((n1, n2, n3, n4), (s1, s2, s3, s4), _) in f_stacks
+    ]
+    R = [gi[n1][s1].transpose(0, 2, 1) @ x @ g[n2][s2].transpose(0, 2, 1)
+         for x, ((n1, n2), (s1, s2), _) in r_stacks]
     return CategoryData(
         ring=data.ring,
-        F=newF,
-        R=newR,
+        F=_stacked(ring, "F", data.F, F),  # in the key orders of data
+        R=_stacked(ring, "R", data.R, R),
         weights=None if data.weights is None else data.weights.copy(),
         central_charge=data.central_charge,
         name=data.name,
@@ -1044,44 +1024,106 @@ def _vertex_slots(ring: FusionRing) -> tuple[list, dict, np.ndarray]:
     return list(map(tuple, vertices.tolist())), groups, slot
 
 
-def _stacks(ring: FusionRing, table: dict, kind: str) -> list:
-    """The blocks of an F or R table stacked by shape.
+# ---------------------------------------------------------------------------
+# symbol tables stored as per-shape stacks, read in one pass instead of key by key
 
-    Per shape: the keys, the shape, per vertex of ``_BLOCK_VERTICES`` the slot
-    of every key's vertex, and the stack.  A block that does not have the
-    shape its key admits raises InputError.
-    """
-    keys, blocks = list(table), list(table.values())
-    shapes, plan = _cached(ring, f"{kind} stacks", lambda: _stack_plan(ring, keys, kind), keys)
-    if list(map(_shape, blocks)) != shapes:
+
+class _Stacked(dict):
+    """An F or R table of every admissible key, its blocks views of ``stacks`` laid out as
+    ``stacking``.  A method that changes the table drops them; readers then gather it."""
+
+    stacking = stacks = None
+
+    def __reduce__(self):  # a copy or pickle holds new arrays, not views: a plain dict
+        return dict, (dict(self),)
+
+
+def _dropping(method):
+    def drop(self, *args, **kwargs):
+        self.stacking = self.stacks = None
+        return method(self, *args, **kwargs)
+
+    return drop
+
+
+for _name in "__setitem__ __delitem__ pop popitem clear update setdefault __ior__".split():
+    setattr(_Stacked, _name, _dropping(getattr(dict, _name)))
+
+
+class _Stacking:
+    """One stack per block shape, in sorted order, of its blocks in admissible-key order:
+    ``admissible`` keys, their ``shapes``, the ``keys`` in stack order; per stack (``groups``)
+    the shape, the slot of each block's vertex per vertex of ``_BLOCK_VERTICES`` and the
+    ``_Layout`` offset of each entry; where each entry in ``_Layout`` order is among the
+    stacked ones, or among those of the inverse R blocks (``order``, ``inverse_order``; None:
+    in place)."""
+
+    def __init__(self, ring: FusionRing, kind: str):
+        keys = admissible_f_keys(ring) if kind == "F" else admissible_r_keys(ring)
+        self.admissible, (width, vertices) = keys, _BLOCK_VERTICES[kind]
+        slot = _cached(ring, "vertex slots", lambda: _vertex_slots(ring))[2]
+        labels = np.fromiter(itertools.chain.from_iterable(keys), np.intp).reshape(-1, width).T
+        at = [tuple(labels[i] for i in vertex) for vertex in vertices]
+        dims = [ring.N[v] for v in at]
+        self.shapes = list(zip(*(x.tolist() for x in dims)))
+        shapes = sorted(set(self.shapes))
+        picks = [np.flatnonzero(np.logical_and.reduce([n == k for n, k in zip(dims, shape)]))
+                 for shape in shapes]
+        self.keys = list(map(keys.__getitem__, itertools.chain(*(x.tolist() for x in picks))))
+        size = np.prod(dims, axis=0)
+        start = np.cumsum(size) - size  # of every block, in _Layout order
+
+        def entries(first):  # per stack, the offset of every entry when block i starts at first[i]
+            return [first[x, None] + np.arange(math.prod(shape)) for x, shape in zip(picks, shapes)]
+
+        def order(first):
+            at = np.concatenate([np.empty(0, dtype=np.intp)] + [x.ravel() for x in entries(first)])
+            return None if np.array_equal(at, np.arange(at.size)) else np.argsort(at)
+
+        self.groups = [(shape, [slot[v][x] for v in at], offsets)
+                       for shape, x, offsets in zip(shapes, picks, entries(start))]
+        self.order, self.inverse_order = order(start), None
+        if kind == "R":  # the inverse of R[y,x,z] fills the block of R[x,y,z]
+            (a, b, c), m = labels, ring.size
+            swapped = np.searchsorted((a * m + b) * m + c, (b * m + a) * m + c)
+            self.inverse_order = order(start[swapped])
+
+
+def _stacking(ring: FusionRing, kind: str) -> _Stacking:
+    return _cached(ring, f"{kind} stacks", lambda: _Stacking(ring, kind))
+
+
+def _stacked_on(ring: FusionRing, table: dict, kind: str) -> bool:
+    """Whether ``table`` is a stacked table laid out by the ring's plan."""
+    return isinstance(table, _Stacked) and table.stacking is _stacking(ring, kind)
+
+
+def _stacked(ring: FusionRing, kind: str, order, stacks: list) -> _Stacked:
+    """The stacked table of ``stacks``, with its keys in the order of ``order``."""
+    stacking = _stacking(ring, kind)
+    table = _Stacked(dict.fromkeys(order))
+    dict.update(table, zip(stacking.keys, itertools.chain.from_iterable(stacks)))
+    table.stacking, table.stacks = stacking, stacks
+    return table
+
+
+def _table_stacks(ring: FusionRing, table: dict, kind: str) -> list:
+    """The stacks of an F or R table; any other than a stacked one must have every key, of its
+    shape, and no other (IncompleteData, InputError)."""
+    if _stacked_on(ring, table, kind):
+        return table.stacks
+    flat, stacking = _flat(ring, table, kind), _stacking(ring, kind)
+    shapes = map(_shape, map(table.__getitem__, stacking.admissible))
+    if len(table) != len(stacking.shapes) or list(shapes) != stacking.shapes:
         raise InputError("F/R blocks do not have their admissible shapes")
-    if not blocks:
-        return []
-    flat = np.concatenate([block.ravel() for block in blocks])  # one gather for every shape
-    return [
-        (list(map(keys.__getitem__, x)), shape, slots, np.take(flat, at).reshape(-1, *shape))
-        for x, shape, slots, at in plan
-    ]
+    return [np.take(flat, offsets).reshape(-1, *shape) for shape, _, offsets in stacking.groups]
 
 
-def _stack_plan(ring: FusionRing, keys: list, kind: str) -> tuple[list, list]:
-    """The admissible shape of every block of ``keys``, and per shape the positions of its
-    keys, the shape, the vertex slots and the flat offset of every entry of the stack."""
-    N, slot = ring.N, _cached(ring, "vertex slots", lambda: _vertex_slots(ring))[2]
-    width, vertices = _BLOCK_VERTICES[kind]
-    labels = np.fromiter(itertools.chain.from_iterable(keys), dtype=np.intp)
-    labels = labels.reshape(len(keys), width).T
-    at = [tuple(labels[i] for i in vertex) for vertex in vertices]
-    dims = [N[v] for v in at]
-    size = np.prod(dims, axis=0)
-    start = np.cumsum(size) - size
-    shapes = list(zip(*(x.tolist() for x in dims)))
-    plan = []
-    for shape in sorted(set(shapes)):
-        x = np.flatnonzero(np.logical_and.reduce([n == k for n, k in zip(dims, shape)]))
-        offsets = start[x, None] + np.arange(math.prod(shape))
-        plan.append((x.tolist(), shape, [slot[v][x] for v in at], offsets))
-    return shapes, plan
+def _copied(ring: FusionRing, table: dict, kind: str) -> dict:
+    """A table with copies of the blocks; a stacked table stays stacked."""
+    if _stacked_on(ring, table, kind):
+        return _stacked(ring, kind, table, [stack.copy() for stack in table.stacks])
+    return {key: block.copy() for key, block in table.items()}
 
 
 _shape = operator.attrgetter("shape")

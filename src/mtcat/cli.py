@@ -12,8 +12,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
-from .catalog import FAMILIES, CatalogSpec, generate
+from . import _FAMILIES, __version__
 from .category_data import gauge_transform, random_gauge, validate_symbols
 from .errors import MtcatError, ParseError, SchemaError, ValidationError
 from .fusion_ring import fp_dimensions, validate_ring, verlinde_coefficients
@@ -63,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = sub.add_parser("gen", help="generate a built-in category")
-    p.add_argument("family", choices=FAMILIES)
+    p.add_argument("family", choices=_FAMILIES)
     p.add_argument("--level", type=int, help="level k for su2_level")
     p.add_argument("--n", type=int, help="group order for pointed_zn")
     p.add_argument("--q", type=int, help="quadratic form exponent for pointed_zn")
@@ -157,6 +156,7 @@ def _dispatch(args) -> int:
         return 0 if result.integral and match else 1
 
     if args.command == "gen":
+        from .catalog import CatalogSpec, generate
         spec = CatalogSpec(
             family=args.family, level=args.level, n=args.n, q_exponent=args.q
         )

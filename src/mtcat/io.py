@@ -36,8 +36,12 @@ from .category_data import (
     _BLOCK_VERTICES,
     CategoryData,
     _cached,
+    _flat,
     _inverse_unit_checks,
     _shape,
+    _stacked,
+    _stacked_on,
+    _stacking,
     validate_symbols,
 )
 from .errors import InputError, ParseError, SchemaError, ValidationError
@@ -62,12 +66,13 @@ def category_to_dict(data: CategoryData) -> dict:
 
 
 def dumps(data: CategoryData) -> str:
-    """The canonical text: ``json.dumps(category_to_dict(data), indent=1, sort_keys=True)``.
+    """The canonical text: ``json.dumps(category_to_dict(data), indent=1, sort_keys=True)``."""
+    return "".join(_text_parts(data))
 
-    The symbol tables are written through a row template instead of the json
-    encoder, which is pure Python when it indents, and the text of the ring's
-    fields is kept in the ring's plan.
-    """
+
+def _text_parts(data: CategoryData) -> list:
+    """The canonical text in parts; the tables through a row template, not the json encoder,
+    which is pure Python when it indents, and the ring's fields kept in the ring's plan."""
     ring = data.ring
     texts = dict(_cached(ring, "ring text", lambda: _field_texts(_ring_fields(ring))))
     texts.update(_field_texts(_data_fields(data)))
@@ -78,7 +83,7 @@ def dumps(data: CategoryData) -> str:
         parts += [",\n ", json.dumps(name), ": ", text]
     parts[0] = "{\n "  # no comma before the first field
     parts.append("\n}")
-    return "".join(parts)
+    return parts
 
 
 def _field_texts(fields: dict) -> dict:
@@ -134,37 +139,30 @@ def _table_text(ring: FusionRing, table: dict, kind: str) -> str:
     """A symbol table as ``json.dumps`` writes it one level deep with ``indent=1``.
 
     Everything in a row but its two floats depends only on the keys and the
-    block shapes, so the rows are a ``%``-template kept in the ring's plan and
-    reused while the table has the keys, in the same order, and the shapes it
-    was built from.  The cache holds no values: each call gathers them afresh.
+    block shapes: a ``%``-template, kept in the ring's plan for a stacked table,
+    whose rows (every admissible key) are in ``_Layout`` order.
     """
-    keys, blocks = list(table), list(table.values())
-    shapes = list(map(_shape, blocks))
-    order, template = _cached(
-        ring, f"{kind} rows", lambda: _row_template(keys, shapes), (keys, shapes)
-    )
-    if not blocks:
-        return template
-    if order is not None:
-        blocks = list(map(blocks.__getitem__, order))
-    flat = [block.ravel() for block in blocks]
-    values = np.concatenate(flat, dtype=complex).view(float)  # re, im of every entry
+    if _stacked_on(ring, table, kind):
+        keys, shapes = _stacking(ring, kind).admissible, _stacking(ring, kind).shapes
+        template = _cached(ring, f"{kind} rows", lambda: _row_template(keys, shapes))
+        values = _flat(ring, table, kind)
+    else:
+        keys = sorted(table)
+        blocks = list(map(table.__getitem__, keys))
+        template = _row_template(keys, list(map(_shape, blocks)))
+        values = np.concatenate([np.empty(0), *(block.ravel() for block in blocks)], dtype=complex)
+    values = values.view(float)  # re, im of every entry
     texts = values.tolist()
     for i in np.flatnonzero(~np.isfinite(values)).tolist():
         texts[i] = json.dumps(texts[i])  # NaN, Infinity, -Infinity
     return template % tuple(texts)  # %s writes a float as repr does
 
 
-def _row_template(keys: list, shapes: list) -> tuple[list | None, str]:
-    """The positions of the keys in sorted order (None: they are sorted), and the text of
-    the table with ``%s`` in place of every real and imaginary part."""
+def _row_template(keys: list, shapes: list) -> str:
+    """The text of a table of the sorted ``keys`` with blocks of ``shapes``, with ``%s`` in
+    place of every real and imaginary part."""
     if not keys:
-        return None, "[]"
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    if order == list(range(len(keys))):
-        order = None
-    else:
-        keys, shapes = [keys[i] for i in order], [shapes[i] for i in order]
+        return "[]"
     key_row = ",\n   ".join(["%s"] * len(keys[0]))
     mult_texts = {  # the 1-based multiplicity indices of every entry, once per shape
         shape: [",\n   ".join(str(i + 1) for i in idx) for idx in np.ndindex(shape)]
@@ -178,7 +176,7 @@ def _row_template(keys: list, shapes: list) -> tuple[list | None, str]:
         ),
         itertools.chain.from_iterable(per_block),
     )
-    return order, "[\n" + ",\n".join(rows) + "\n ]"
+    return "[\n" + ",\n".join(rows) + "\n ]"
 
 
 def save(data: CategoryData, path) -> None:
@@ -191,8 +189,12 @@ def content_hash(data: CategoryData) -> str:
     """sha256 of the canonical serialization; the report provenance key.
 
     It equals the sha256 of a file written by :func:`save` without its final newline.
+    The text is hashed part by part, never joined.
     """
-    return hashlib.sha256(dumps(data).encode()).hexdigest()
+    digest = hashlib.sha256()
+    for part in _text_parts(data):
+        digest.update(part.encode())
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +224,12 @@ def loads(text: str) -> CategoryData:
 def category_from_dict(doc) -> CategoryData:
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    version = doc.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # not True, not 1.0
         raise SchemaError(f"schema_version must be {SCHEMA_VERSION}")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise SchemaError(f"name must be a string, got {name!r}")
     labels = _expect(doc, "labels", list)
     if not labels or not all(isinstance(x, str) for x in labels):
         raise SchemaError("labels must be a non-empty list of strings")
@@ -270,7 +276,7 @@ def category_from_dict(doc) -> CategoryData:
         R=R,
         weights=weights,
         central_charge=central,
-        name=str(doc.get("name", "")),
+        name=name,
     )
     problems = validate_symbols(data)
     if problems:
@@ -351,7 +357,7 @@ def _symbol_table(doc, where: str, ring: FusionRing) -> dict:
     """The F or R blocks of ``doc[where]``, checked and gathered without a step per row.
 
     Blocks are in the order their keys first appear; each is a view of the
-    stack of all blocks of its shape.
+    stack of all blocks of its shape, and a table of every admissible key is stacked.
     """
     rows = _expect(doc, where, list)
     n_key, vertices = _TABLES[where]
@@ -396,9 +402,13 @@ def _symbol_table(doc, where: str, ring: FusionRing) -> dict:
         groups.append(g)
         stacks.append(np.take(values, gather).reshape(len(g), *block_shape))
     groups = np.concatenate(groups)
-    keys = map(tuple, ints[:n_key, order[starts[groups]]].T.tolist())
-    items = list(zip(keys, itertools.chain.from_iterable(stacks)))  # views of the stacks
-    return dict(map(items.__getitem__, np.argsort(first_row[groups]).tolist()))
+    keys = list(map(tuple, ints[:n_key, order[starts[groups]]].T.tolist()))
+    table = dict.fromkeys(map(keys.__getitem__, np.argsort(first_row[groups]).tolist()))
+    kind = where[0].upper()
+    if len(keys) == len(_stacking(ring, kind).admissible):  # ordered as stacks are
+        return _stacked(ring, kind, table, stacks)
+    table.update(zip(keys, itertools.chain.from_iterable(stacks)))  # views of the stacks
+    return table
 
 
 def _columns(rows: list, n_int: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -213,6 +213,28 @@ def test_schema_version_checked(fib):
         loads(json.dumps(doc))
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1", None])
+def test_schema_version_must_be_the_integer_1(fib, version):
+    doc = category_to_dict(fib)
+    doc["schema_version"] = version
+    with pytest.raises(SchemaError, match="schema_version must be 1"):
+        category_from_dict(doc)
+
+
+@pytest.mark.parametrize("name", [None, 5, ["x"], {"a": 1}, True])
+def test_name_must_be_a_string(fib, name):
+    doc = category_to_dict(fib)
+    doc["name"] = name
+    with pytest.raises(SchemaError, match=re.escape(f"name must be a string, got {name!r}")):
+        category_from_dict(doc)
+
+
+def test_absent_name_loads_as_empty(fib):
+    doc = category_to_dict(fib)
+    del doc["name"]
+    assert category_from_dict(doc).name == ""
+
+
 def _put_number(doc, field, value):
     """Write ``value`` into the first number slot of ``field``."""
     if field == "central_charge":
@@ -441,6 +463,26 @@ def test_cli_verify_does_not_import_numpy_ma(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_cli_verify_does_not_import_the_catalog(tmp_path):
+    # only `mtcat gen` needs the catalog, whose import costs every CLI process
+    path = tmp_path / "fib.json"
+    save(make("fibonacci"), path)
+    code = (
+        "import sys\n"
+        "from mtcat.cli import main\n"
+        f"status = main(['verify', {str(path)!r}, '--json'])\n"
+        "print(status, 'mtcat.catalog' in sys.modules, 'fractions' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "0 False False"
 
 
 def _cli(*args):

@@ -299,6 +299,10 @@ def _set_f_real_part(doc, value):
     doc["f_symbols"][0][10] = value
 
 
+def _set_name(doc, value):
+    doc["name"] = value
+
+
 @pytest.mark.parametrize(
     "edit,token,message",
     [
@@ -308,10 +312,11 @@ def _set_f_real_part(doc, value):
         (_set_f_real_part, str(10**400), "f_symbols: expected a finite number, got 1000"),
         (_set_f_real_part, "1" * 5000, "Exceeds the limit (4300 digits)"),
         (_set_f_real_part, "[" * 100000 + "]" * 100000, "maximum recursion depth exceeded"),
+        (_set_name, "null", "name must be a string, got None"),
     ],
     ids=[
         "weights_int", "weights_null", "huge_multiplicity", "huge_real_part", "5000_digits",
-        "deep_nesting",
+        "deep_nesting", "name_null",
     ],
 )
 def test_cli_malformed_value_exits_2(tmp_path, fib, edit, token, message):

@@ -39,7 +39,7 @@ def pentagon_builds(monkeypatch):
 
 
 def _plan_bytes(content):
-    return sum(entry[2] for entry in category_data._plans[content].values())
+    return sum(entry[1] for entry in category_data._plans[content].values())
 
 
 # --- the store ---------------------------------------------------------------
