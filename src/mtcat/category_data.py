@@ -34,7 +34,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import IncompleteData, InputError, RigidityDegenerate
-from .fusion_ring import UNIT, FusionRing
+from .fusion_ring import UNIT, FusionRing, validate_ring
 
 FKey = tuple[int, int, int, int, int, int]  # (a, b, c, d, e, f)
 RKey = tuple[int, int, int]  # (a, b, c)
@@ -439,6 +439,11 @@ def _cached(ring: FusionRing, name: str, build):
     return entry[0]
 
 
+def _ring_ok(ring: FusionRing) -> bool:
+    """Whether ``validate_ring`` passes the ring, kept in its plan."""
+    return _cached(ring, "ring ok", lambda: validate_ring(ring).ok)
+
+
 def _nbytes(value) -> int:
     """Bytes of the arrays and strings in a cached value.
 
@@ -787,12 +792,18 @@ def _flat(ring: FusionRing, table: dict, kind: str, invert: bool = False) -> np.
             blocks = list(map(table.__getitem__, keys))
         except KeyError as exc:
             raise IncompleteData(exc.args[0], kind=kind) from None
+        _check_shapes(ring, kind, keys, map(_shape, blocks))
         blocks = _inverses(blocks) if invert else blocks
         flat = np.concatenate([block.ravel() for block in blocks])
-    lay = _layout(ring)
-    if flat.size != (lay.f_size if kind == "F" else lay.size - lay.f_size):
-        raise InputError("F/R blocks do not have their admissible shapes")
     return flat.astype(complex, copy=False)
+
+
+def _check_shapes(ring: FusionRing, kind: str, keys, shapes):
+    """InputError when the block of an admissible key does not have its admissible shape."""
+    stacking = _stacking(ring, kind)
+    want = dict(zip(stacking.admissible, stacking.shapes))  # not cached: _nbytes would walk it
+    if any(want.get(key, shape) != shape for key, shape in zip(keys, shapes)):
+        raise InputError("F/R blocks do not have their admissible shapes")
 
 
 def _inverses(blocks: list) -> list:
@@ -822,12 +833,16 @@ def _sum(vals: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
     A complex product can round differently when its operands are swapped or
     when it is written over one of them, and the ``*`` operator does both with a
     temporary of 256 KB or more, so a product would depend on the table's size.
+    One scatter-add sums in table order; a sum that is not finite is rebuilt from its
+    parts, so an infinite imaginary part makes the real part NaN.
     """
     instance, *offsets = terms
     product = np.take(vals, offsets[0])
     for offset in offsets[1:]:
         product = np.multiply(product, np.take(vals, offset))
-    return np.bincount(instance, product.real, n) + 1j * np.bincount(instance, product.imag, n)
+    out = np.zeros(n, dtype=complex)
+    np.add.at(out, instance, product)
+    return out if np.isfinite(out).all() else out.real + 1j * out.imag
 
 
 def _residuals(vals: np.ndarray, block: tuple) -> np.ndarray:
@@ -986,10 +1001,10 @@ def gauge_transform(data: CategoryData, gauge: GaugeTransform) -> CategoryData:
                           for kind, table in (("F", data.F), ("R", data.R)))
     F = [
         np.einsum("xij,xkl,xjlmn,xmo,xnp->xikop", g[n1][s1], g[n2][s2], x, gi[n3][s3], gi[n4][s4])
-        for x, ((n1, n2, n3, n4), (s1, s2, s3, s4), _) in f_stacks
+        for x, ((n1, n2, n3, n4), (s1, s2, s3, s4), *_) in f_stacks
     ]
     R = [gi[n1][s1].transpose(0, 2, 1) @ x @ g[n2][s2].transpose(0, 2, 1)
-         for x, ((n1, n2), (s1, s2), _) in r_stacks]
+         for x, ((n1, n2), (s1, s2), *_) in r_stacks]
     return CategoryData(
         ring=data.ring,
         F=_stacked(ring, "F", data.F, F),  # in the key orders of data
@@ -1053,10 +1068,10 @@ for _name in "__setitem__ __delitem__ pop popitem clear update setdefault __ior_
 class _Stacking:
     """One stack per block shape, in sorted order, of its blocks in admissible-key order:
     ``admissible`` keys, their ``shapes``, the ``keys`` in stack order; per stack (``groups``)
-    the shape, the slot of each block's vertex per vertex of ``_BLOCK_VERTICES`` and the
-    ``_Layout`` offset of each entry; where each entry in ``_Layout`` order is among the
-    stacked ones, or among those of the inverse R blocks (``order``, ``inverse_order``; None:
-    in place)."""
+    the shape, the slot of each block's vertex per vertex of ``_BLOCK_VERTICES``, the
+    ``_Layout`` offset of each entry and each block's place among the admissible keys; where
+    each entry in ``_Layout`` order is among the stacked ones, or those of the inverse R blocks
+    (``order``, ``inverse_order``; None: in place); R[y,x,z]'s offset per R[x,y,z] (``swapped``)."""
 
     def __init__(self, ring: FusionRing, kind: str):
         keys = admissible_f_keys(ring) if kind == "F" else admissible_r_keys(ring)
@@ -1080,13 +1095,13 @@ class _Stacking:
             at = np.concatenate([np.empty(0, dtype=np.intp)] + [x.ravel() for x in entries(first)])
             return None if np.array_equal(at, np.arange(at.size)) else np.argsort(at)
 
-        self.groups = [(shape, [slot[v][x] for v in at], offsets)
+        self.groups = [(shape, [slot[v][x] for v in at], offsets, x)
                        for shape, x, offsets in zip(shapes, picks, entries(start))]
         self.order, self.inverse_order = order(start), None
         if kind == "R":  # the inverse of R[y,x,z] fills the block of R[x,y,z]
             (a, b, c), m = labels, ring.size
-            swapped = np.searchsorted((a * m + b) * m + c, (b * m + a) * m + c)
-            self.inverse_order = order(start[swapped])
+            self.swapped = start[np.searchsorted((a * m + b) * m + c, (b * m + a) * m + c)]
+            self.inverse_order = order(self.swapped)
 
 
 def _stacking(ring: FusionRing, kind: str) -> _Stacking:
@@ -1112,11 +1127,10 @@ def _table_stacks(ring: FusionRing, table: dict, kind: str) -> list:
     shape, and no other (IncompleteData, InputError)."""
     if _stacked_on(ring, table, kind):
         return table.stacks
-    flat, stacking = _flat(ring, table, kind), _stacking(ring, kind)
-    shapes = map(_shape, map(table.__getitem__, stacking.admissible))
-    if len(table) != len(stacking.shapes) or list(shapes) != stacking.shapes:
+    flat, stacking = _flat(ring, table, kind), _stacking(ring, kind)  # every key, of its shape
+    if len(table) != len(stacking.shapes):
         raise InputError("F/R blocks do not have their admissible shapes")
-    return [np.take(flat, offsets).reshape(-1, *shape) for shape, _, offsets in stacking.groups]
+    return [np.take(flat, offsets).reshape(-1, *shape) for shape, _, offsets, _ in stacking.groups]
 
 
 def _copied(ring: FusionRing, table: dict, kind: str) -> dict:

@@ -36,8 +36,10 @@ from .category_data import (
     _BLOCK_VERTICES,
     CategoryData,
     _cached,
+    _check_shapes,
     _flat,
     _inverse_unit_checks,
+    _ring_ok,
     _shape,
     _stacked,
     _stacked_on,
@@ -149,7 +151,9 @@ def _table_text(ring: FusionRing, table: dict, kind: str) -> str:
     else:
         keys = sorted(table)
         blocks = list(map(table.__getitem__, keys))
-        template = _row_template(keys, list(map(_shape, blocks)))
+        shapes = list(map(_shape, blocks))
+        _check_shapes(ring, kind, keys, shapes)
+        template = _row_template(keys, shapes)
         values = np.concatenate([np.empty(0), *(block.ravel() for block in blocks)], dtype=complex)
     values = values.view(float)  # re, im of every entry
     texts = values.tolist()
@@ -241,8 +245,8 @@ def category_from_dict(doc) -> CategoryData:
         raise SchemaError("dual must be a permutation of 0..m-1")
 
     ring = FusionRing(labels, dual, _fusion_table(_expect(doc, "fusion", list), m))
-    report = validate_ring(ring)
-    if not report.ok:
+    if not _ring_ok(ring):
+        report = validate_ring(ring)
         raise ValidationError(
             "fusion ring invariants violated:\n" + str(report), report.violations
         )

@@ -6,8 +6,8 @@ Perron dimension, and every formula here uses the signed value consistently.
 Twists are computed from the braiding alone via the quantum trace; supplied
 conformal weights are a cross-check, never an input to the computation.
 
-Everything downstream of the dimensions is derived from one walk over the
-fusion channels (``_derive``); the public functions are thin entry points over
+Everything downstream of the dimensions is derived from the R blocks of each
+shape at once (``_derive``); the public functions are thin entry points over
 the same array helpers that ``check_modular`` uses.
 """
 
@@ -18,9 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .category_data import CategoryData, _unit_elements, coherence_summary, rigidity_scalar
-from .errors import InputError, WeightsInconsistent
-from .fusion_ring import SMatrix, fp_dimensions, validate_ring
+from .category_data import (CategoryData, _cached, _flat, _ring_ok, _stacking, _unit_elements,
+                            coherence_summary, rigidity_scalar)
+from .errors import IncompleteData, InputError, WeightsInconsistent
+from .fusion_ring import SMatrix, fp_dimensions
 
 COHERENCE_TOL = 1e-7  # verdict threshold; loose enough for level-8 accumulation
 DET_TOL = 1e-8  # determinant threshold, relative to the matrix scale
@@ -59,28 +60,36 @@ def monodromy(data: CategoryData, a, b, c) -> np.ndarray:
 class _Derived(NamedTuple):
     dims: np.ndarray
     twists: np.ndarray
-    channels: np.ndarray  # (k, 3): every (a, b, c) with N[a,b,c] > 0, in lexicographic order
-    monodromies: list  # R[b,a,c] @ R[a,b,c] for each channel
+    monodromies: list  # per R block shape: labels a, b, c of its channels, R[b,a,c] @ R[a,b,c]
+    s_tilde: np.ndarray  # sum_c d_c tr(monodromy on c), summed in channel order
 
 
 def _derive(data: CategoryData) -> _Derived:
-    """Dimensions, twists and channel monodromies from one walk over the channels.
+    """Dimensions, twists, channel monodromies and S~, one batched product per R block shape.
 
     theta_a = (1/d_a) sum_c d_c tr R[a,a,c]: the quantum trace of the
-    self-braiding divided by the dimension.
+    self-braiding divided by the dimension, summed in channel order.
     """
-    dims = quantum_dimensions(data)
-    channels = np.argwhere(data.ring.N > 0)
+    dims, N, stacking = quantum_dimensions(data), data.ring.N, _stacking(data.ring, "R")
+    for key in np.argwhere((N > 0) & (N.transpose(1, 0, 2) == 0))[:1].tolist():
+        raise IncompleteData(tuple(key), kind="R")  # a channel that has no braiding
+    channels, r, monodromies = np.argwhere(N > 0), _flat(data.ring, data.R, "R"), []
+    r_traces, traces = np.empty((2, len(channels)), dtype=complex)
+    for (p, q), _, own, at in stacking.groups:  # the R keys are the channels, in order
+        blocks = np.take(r, own).reshape(-1, p, q)
+        swapped = np.take(r, stacking.swapped[at, None] + np.arange(p * q)).reshape(-1, q, p)
+        monodromies.append((channels[at].T, swapped @ blocks))
+        r_traces[at] = np.trace(blocks, axis1=1, axis2=2)
+        traces[at] = np.trace(monodromies[-1][1], axis1=1, axis2=2)
+    a, b, c = channels.T
+    s_tilde = np.zeros((len(dims),) * 2, dtype=complex)
+    np.add.at(s_tilde, (a, b), dims[c] * traces)
     twists = np.zeros(len(dims), dtype=complex)
-    monodromies = []
-    for a, b, c in channels.tolist():
-        r = data.r_block(a, b, c)
-        monodromies.append(data.r_block(b, a, c) @ r)
-        if a == b:
-            twists[a] += dims[c] * np.trace(r)
+    for x, d, tr in zip(a[a == b].tolist(), dims[c[a == b]], r_traces[a == b]):  # scalar products:
+        twists[x] += d * tr  # an array product can round otherwise, and the twists would move
     with np.errstate(invalid="ignore"):  # a NaN dimension gives a NaN twist, quietly
         twists = twists / dims
-    return _Derived(dims, twists, channels, monodromies)
+    return _Derived(dims, twists, monodromies, s_tilde)
 
 
 def twist(data: CategoryData, a, check_weights: bool = True, tol: float = 1e-9) -> complex:
@@ -124,14 +133,11 @@ def ribbon_residual(data: CategoryData, twists: np.ndarray | None = None) -> flo
 
 
 def _ribbon(derived: _Derived, th: np.ndarray) -> float:
-    """The balancing residual, one array expression per monodromy block size."""
-    sizes = np.array([len(block) for block in derived.monodromies])
+    """The balancing residual, one array expression per monodromy block shape."""
     worst = 0.0
-    for n in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma, 10 ms per process
-        pick = np.flatnonzero(sizes == n)
-        a, b, c = derived.channels[pick].T
-        blocks = np.stack([derived.monodromies[i] for i in pick])
-        dev = np.abs(th[c, None, None] * np.eye(n) - (th[a] * th[b])[:, None, None] * blocks)
+    for (a, b, c), blocks in derived.monodromies:
+        eye = np.eye(blocks.shape[1])
+        dev = np.abs(th[c, None, None] * eye - (th[a] * th[b])[:, None, None] * blocks)
         worst = np.maximum(worst, dev.max())  # unlike max(), keeps a NaN
     return float(worst)
 
@@ -142,16 +148,7 @@ def s_matrix_unnormalized(data: CategoryData) -> SMatrix:
     S~[a,b] = sum_c d_c tr(monodromy block on c); symmetric, with unit row
     equal to the dimension vector.
     """
-    return SMatrix(_s_trace(_derive(data)), "unnormalized")
-
-
-def _s_trace(derived: _Derived) -> np.ndarray:
-    m = len(derived.dims)
-    a, b, c = derived.channels.T
-    traces = np.array([np.trace(block) for block in derived.monodromies])
-    S = np.zeros((m, m), dtype=complex)
-    np.add.at(S, (a, b), derived.dims[c] * traces)
-    return S
+    return SMatrix(_derive(data).s_tilde, "unnormalized")
 
 
 def s_matrix_balanced(data: CategoryData) -> SMatrix:
@@ -213,7 +210,7 @@ def check_modular(data: CategoryData, coherence_tol: float = COHERENCE_TOL) -> M
     """
     ring = data.ring
     m = ring.size
-    residuals: dict[str, float] = {"ring": 0.0 if validate_ring(ring).ok else float("inf")}
+    residuals: dict[str, float] = {"ring": 0.0 if _ring_ok(ring) else float("inf")}
     coherent = False
     dims = fp = th = np.array([])
     s_tilde = np.zeros((0, 0))
@@ -226,10 +223,10 @@ def check_modular(data: CategoryData, coherence_tol: float = COHERENCE_TOL) -> M
         residuals.update((key, summary[key]) for key in _COHERENCE[:4])
         derived = _derive(data)
         dims, th = derived.dims, derived.twists
-        fp = fp_dimensions(ring)
+        fp = _cached(ring, "fp dims", lambda: fp_dimensions(ring)).copy()
         residuals["ribbon"] = _ribbon(derived, th)
         residuals["twist_weights"] = _weight_residual(th, data.weights)
-        s_tilde = _s_trace(derived)
+        s_tilde = derived.s_tilde
         dim_sq = complex(np.sum(dims**2))
         coherent = all(residuals[key] < coherence_tol for key in _COHERENCE)
 

@@ -9,6 +9,7 @@ from mtcat import (
     GaugeTransform,
     IncompleteData,
     InputError,
+    dumps,
     f_inverse_unit_check,
     f_matrix,
     gauge_transform,
@@ -17,12 +18,15 @@ from mtcat import (
     pentagon_residual,
     quantum_dimensions,
     random_gauge,
+    ribbon_residual,
     rigidity_scalar,
+    run_report,
     triangle_residual,
     validate_ring,
     validate_symbols,
 )
 from mtcat import category_data
+from mtcat.io import content_hash
 
 import reference_coherence as reference
 from conftest import CATALOG, bump_one_f_and_one_r, random_rep_a4_data
@@ -509,3 +513,35 @@ def test_gauge_transform_follows_the_key_order():
                 assert got.F[key].tobytes() == want.F[key].tobytes(), key
             for key in want.R:
                 assert got.R[key].tobytes() == want.R[key].tobytes(), key
+
+
+# --- blocks of the right size and the wrong shape -----------------------------
+
+
+def _misshapen(catalog, case):
+    """su(2)_3 with one F block given a leading axis, or Rep(A4) with its 2x2x2x2 F block or
+    its 2x2 R block laid out in another shape of the same size."""
+    if case == "su2_k3":
+        data = catalog["su2_k3"].copy()
+        key = sorted(data.F)[len(data.F) // 2]
+        data.F[key] = data.F[key][None]
+        return data
+    data = random_rep_a4_data(7)
+    if case == "rep_a4_f":
+        data.F[(3, 3, 3, 3, 3, 3)] = data.F[(3, 3, 3, 3, 3, 3)].reshape(4, 1, 2, 2)
+    else:
+        data.R[(3, 3, 3)] = data.R[(3, 3, 3)].reshape(1, 4)
+    return data
+
+
+@pytest.mark.parametrize("case", ["su2_k3", "rep_a4_f", "rep_a4_r"])
+def test_blocks_of_another_shape_of_the_same_size_are_rejected(catalog, case):
+    data = _misshapen(catalog, case)
+    kind = "R" if case == "rep_a4_r" else "F"
+    assert f"shape-{kind}" in {problem[0] for problem in validate_symbols(data)}
+    readers = [category_data.coherence_summary, run_report, dumps, content_hash]
+    if kind == "R":  # the inverse braid and the monodromies read R alone
+        readers += [lambda d: hexagon_residual(d, "inverse_braid"), ribbon_residual]
+    for read in readers:
+        with pytest.raises(InputError, match="F/R blocks do not have their admissible shapes"):
+            read(data)

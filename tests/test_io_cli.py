@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -127,14 +128,18 @@ def test_dumps_row_template_follows_the_layout(catalog, name):
     r_key = sorted(a.R)[len(a.R) // 3]
     missing = a.copy()  # the same ring, one F and one R key removed
     del missing.F[f_key], missing.R[r_key]
-    reshaped = a.copy()  # one block of another shape
+    reshaped = a.copy()  # one block of another shape: not written, since load would reject it
     reshaped.F[f_key] = reshaped.F[f_key].reshape(-1, *reshaped.F[f_key].shape[2:])
     reordered = a.copy()
     reordered.F = dict(reversed(reordered.F.items()))
     first = dumps(a)
     assert first == _canonical(a)
     for data in (missing, a, reshaped, a, reordered, a):
-        assert dumps(data) == _canonical(data)
+        if data is reshaped:
+            with pytest.raises(InputError, match="admissible shapes"):
+                dumps(data)
+        else:
+            assert dumps(data) == _canonical(data)
     assert dumps(a) == first
     a.F[f_key][(0,) * a.F[f_key].ndim] += 0.5  # in place: the layout is the same
     a.R[r_key] *= -1
@@ -588,3 +593,21 @@ def test_cli_pointed_gen_verdicts(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(deg)]) == 1  # modularity check fails: degenerate
     assert "degenerate" in capsys.readouterr().out
+
+
+def test_reports_on_finite_data_raise_no_runtime_warning(catalog):
+    bases = list(catalog.values()) + [make("pointed_zn", n=4, q_exponent=q) for q in (0, 2)]
+    datas = bases + [gauge_transform(d, random_gauge(d.ring, 0)) for d in bases]
+    assert len(datas) == 36
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for data in datas:
+            run_report(data)
+
+
+def test_editing_a_reports_fp_dims_leaves_the_next_report_unchanged(catalog):
+    data = catalog["su2_k3"]
+    first = report_to_json(run_report(data))
+    check_modular(data).fp_dims[:] = -1.0
+    assert report_to_json(run_report(data)) == first
+    assert (check_modular(data).fp_dims > 0).all()

@@ -167,17 +167,29 @@ BLOCK_DATA = [name for name, _, _ in CATALOG] + ["rep_a4"]
 
 
 def _variants(catalog, name):
-    """The data, a seeded gauge of it, a bumped copy and a copy with one NaN entry."""
+    """The data, a seeded gauge of it, a bumped copy, a copy with one NaN entry and a gauged
+    copy whose products overflow."""
     data = random_rep_a4_data(7) if name == "rep_a4" else catalog[name]
     nan = data.copy()
     key = sorted(nan.F)[len(nan.F) // 2]
     nan.F[key].flat[-1] = np.nan
+    gauged = gauge_transform(data, random_gauge(data.ring, 0))
     return {
         "plain": data,
-        "gauged": gauge_transform(data, random_gauge(data.ring, 0)),
+        "gauged": gauged,
         "bumped": bump_one_f_and_one_r(data),
         "nan": nan,
+        "overflow": _overflowing(gauged),
     }
+
+
+def _overflowing(data):
+    """A copy with every other F block scaled by 1e160: the products of two or three scaled
+    complex entries overflow, to inf or, where inf - inf meets, to a NaN part."""
+    out = data.copy()
+    for key in sorted(out.F)[::2]:
+        out.F[key] = out.F[key] * 1e160
+    return out
 
 
 def _values(data):
@@ -189,6 +201,7 @@ def _values(data):
     }
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the overflow variant
 def _assert_blocks_match_oracle(data):
     for identity, values in _values(data).items():
         blocks = _coherence_tables(data.ring, identity)
@@ -212,6 +225,22 @@ def test_blocks_match_the_unblocked_oracle(catalog, name):
         _assert_blocks_match_oracle(data)
     residual, _ = category_data.pentagon_residual(variants["nan"])
     assert math.isnan(residual)
+
+
+@pytest.mark.parametrize("name", ["su2_k3", "su2_k5", "rep_a4"])
+def test_overflow_variant_reaches_inf_and_nan(catalog, name):
+    data = _variants(catalog, name)["overflow"]
+    residuals, sums = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for identity, values in _values(data).items():
+            for vals in values:
+                for witnesses, lhs, rhs in _coherence_tables(data.ring, identity):
+                    residuals.append(category_data._residuals(vals, (witnesses, lhs, rhs)))
+                    sums += [category_data._sum(vals, t, len(witnesses)) for t in (lhs, rhs)]
+    residuals, sums = np.concatenate(residuals), np.concatenate(sums)
+    assert np.isfinite(residuals).any() and np.isinf(residuals).any() and np.isnan(residuals).any()
+    assert (np.isinf(sums.real) & np.isnan(sums.imag)).any() or (
+        np.isnan(sums.real) & np.isinf(sums.imag)).any()  # (inf, NaN) parts
 
 
 def test_rep_a4_instances_have_several_terms():
