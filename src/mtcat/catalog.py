@@ -13,15 +13,17 @@ Families
                  twice-spin), fusing matrices from q-deformed recoupling
                  coefficients at q = exp(i pi / (k+2)).
 
-Every generator emits explicit identity blocks for unit-label fusing
-matrices, per-label lowest weights, and a central charge, and is expected to
-pass every coherence check; the test suite treats that as this module's own
-acceptance gate.
+Every generator writes its F and R entries straight into the per-shape
+stacks of the ring's plan, with identity blocks for unit-label fusing
+matrices, and gives per-label lowest weights and a central charge.  Each is
+expected to pass every coherence check; the test suite treats that as this
+module's own acceptance gate.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,8 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _FAMILIES as FAMILIES
-from .category_data import CategoryData, admissible_f_keys, admissible_r_keys, f_block_shape
-from .category_data import _stacked, _table_stacks
+from .category_data import CategoryData, _stacked, _stacking
 from .errors import InputError
 from .fusion_ring import UNIT, FusionRing
 
@@ -51,6 +52,10 @@ class CatalogSpec:
     def validate(self):
         if self.family not in FAMILIES:
             raise InputError(f"unknown family {self.family!r}; known: {', '.join(FAMILIES)}")
+        for name in ("level", "n", "q_exponent"):
+            value = getattr(self, name)
+            if value is not None and (type(value) is bool or not isinstance(value, int)):
+                raise InputError(f"{name} must be an integer, got {value!r}")
         if self.family == "su2_level":
             if self.level is None or not 0 <= self.level <= MAX_LEVEL:
                 raise InputError(f"su2_level needs a level in 0..{MAX_LEVEL}")
@@ -88,48 +93,33 @@ def make(family: str, **params) -> CategoryData:
 # shared scaffolding
 
 
-def _empty_symbols(ring: FusionRing):
-    """F with unit-label blocks preset to exact identities, R preset to ones.
-
-    Non-unit blocks start as None placeholders the family fills in.
-    """
-    F = {}
-    for key in admissible_f_keys(ring):
-        a, b, c, d, e, f = key
-        shape = f_block_shape(ring, *key)
-        if UNIT in (a, b, c):
-            nr = shape[0] * shape[1]
-            block = np.eye(nr, dtype=complex).reshape(shape)
-        else:
-            block = None
-        F[key] = block
-    R = {key: None for key in admissible_r_keys(ring)}
-    return F, R
-
-
-def _finalize(ring, F, R, weights, central_charge, name) -> CategoryData:
-    for key, block in F.items():
-        if block is None:
-            raise InputError(f"generator left F entry {key} unset")
-    for key, block in R.items():
-        if block is None:
-            raise InputError(f"generator left R entry {key} unset")
-    return CategoryData(
-        ring=ring,
-        F=_stacked(ring, "F", F, _table_stacks(ring, F, "F")),
-        R=_stacked(ring, "R", R, _table_stacks(ring, R, "R")),
-        weights=np.asarray(weights, dtype=float),
-        central_charge=float(central_charge),
-        name=name,
-    )
+def _finalize(ring, f, r, weights, central_charge, name) -> CategoryData:
+    """The data of a multiplicity-free ring, its F and R entries written straight into the
+    per-shape stacks of the ring's plan.  F blocks with a unit among (a, b, c) are identities;
+    ``f`` is called with the label columns of the other F keys, ``r`` with those of every R
+    key, both in admissible-key order, and each returns the entries of its keys."""
+    tables = []
+    for kind, entries in (("F", f), ("R", r)):
+        stacking = _stacking(ring, kind)
+        keys = stacking.admissible
+        labels = np.fromiter(itertools.chain.from_iterable(keys), np.intp).reshape(len(keys), -1).T
+        flat = np.ones(len(keys), dtype=complex)
+        live = (labels[:3] != UNIT).all(axis=0) if kind == "F" else slice(None)
+        flat[live] = entries(*labels[:, live])
+        stacks = [flat[x].reshape(-1, *shape) for shape, _, _, x in stacking.groups]
+        tables.append(_stacked(ring, kind, keys, stacks))
+    return CategoryData(ring, *tables, weights=np.asarray(weights, dtype=float),
+                        central_charge=float(central_charge), name=name)
 
 
-def _scalar(x) -> np.ndarray:
-    return np.array(complex(x)).reshape(1, 1, 1, 1)
+def _each(entry):
+    """``entry`` as a function of key columns, called key by key on Python ints."""
+    return lambda *labels: [entry(*key) for key in zip(*(x.tolist() for x in labels))]
 
 
-def _rscalar(x) -> np.ndarray:
-    return np.array(complex(x)).reshape(1, 1)
+def _table(entries: dict):
+    """The listed entries; 1 for every other key."""
+    return _each(lambda *key: entries.get(key, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +128,7 @@ def _rscalar(x) -> np.ndarray:
 
 def _trivial() -> CategoryData:
     ring = FusionRing(["1"], [0], np.ones((1, 1, 1), dtype=int))
-    F, R = _empty_symbols(ring)
-    R[(0, 0, 0)] = _rscalar(1.0)
-    return _finalize(ring, F, R, [0.0], 0.0, "trivial")
+    return _finalize(ring, _table({}), _table({}), [0.0], 0.0, "trivial")
 
 
 def _pointed_zn(n: int, q_exponent: int) -> CategoryData:
@@ -153,22 +141,18 @@ def _pointed_zn(n: int, q_exponent: int) -> CategoryData:
     stays 1.
     """
     names = [str(a) for a in range(n)]
-    dual = np.array([(-a) % n for a in range(n)])
+    x = np.arange(n)
     N = np.zeros((n, n, n), dtype=int)
-    for a in range(n):
-        for b in range(n):
-            N[a, b, (a + b) % n] = 1
-    ring = FusionRing(names, dual, N)
-    F, R = _empty_symbols(ring)
+    N[x[:, None], x, (x[:, None] + x) % n] = 1
+    ring = FusionRing(names, (-x) % n, N)
     Q = q_exponent
-    for key in F:
-        a, b, c, d, e, f = key
-        if UNIT in (a, b, c):
-            continue
-        omega = -1.0 if (Q * a * ((b + c) // n)) % 2 else 1.0
-        F[key] = _scalar(omega)
-    for (a, b, c) in R:
-        R[(a, b, c)] = _rscalar(np.exp(1j * math.pi * Q * a * b / n))
+
+    def omega(a, b, c, d, e, f):  # only the parity of Q matters
+        return np.where((Q % 2) * a * ((b + c) // n) % 2, -1.0, 1.0)
+
+    def r(a, b, c):
+        return np.exp(1j * math.pi * Q * a * b / n)
+
     # twists from the braiding and the signed dimensions; weights follow them
     dims = np.array([(-1.0) ** (Q * a) for a in range(n)])
     weights = []
@@ -179,7 +163,7 @@ def _pointed_zn(n: int, q_exponent: int) -> CategoryData:
     central = (np.angle(p_plus) * 8 / (2 * math.pi)) % 8 if abs(p_plus) > 1e-12 else 0.0
     if abs(central - round(central)) < 1e-9:  # Gauss-sum phases here are integral
         central = round(central) % 8
-    return _finalize(ring, F, R, weights, central, f"pointed_z{n}_q{Q}")
+    return _finalize(ring, omega, _each(r), weights, central, f"pointed_z{n}_q{Q}")
 
 
 def _fibonacci() -> CategoryData:
@@ -188,18 +172,16 @@ def _fibonacci() -> CategoryData:
     N[0, 0, 0] = N[0, 1, 1] = N[1, 0, 1] = 1
     N[1, 1, 0] = N[1, 1, 1] = 1
     ring = FusionRing(names, [0, 1], N)
-    F, R = _empty_symbols(ring)
     s = 1.0 / math.sqrt(PHI)
-    F[(1, 1, 1, 1, 0, 0)] = _scalar(1.0 / PHI)
-    F[(1, 1, 1, 1, 0, 1)] = _scalar(s)
-    F[(1, 1, 1, 1, 1, 0)] = _scalar(s)
-    F[(1, 1, 1, 1, 1, 1)] = _scalar(-1.0 / PHI)
-    F[(1, 1, 1, 0, 1, 1)] = _scalar(1.0)
-    for key in R:
-        R[key] = _rscalar(1.0)
-    R[(1, 1, 0)] = _rscalar(np.exp(-4j * math.pi / 5))
-    R[(1, 1, 1)] = _rscalar(np.exp(3j * math.pi / 5))
-    return _finalize(ring, F, R, [0.0, 0.4], 14.0 / 5.0, "fibonacci")
+    F = {
+        (1, 1, 1, 1, 0, 0): 1.0 / PHI,
+        (1, 1, 1, 1, 0, 1): s,
+        (1, 1, 1, 1, 1, 0): s,
+        (1, 1, 1, 1, 1, 1): -1.0 / PHI,
+        (1, 1, 1, 0, 1, 1): 1.0,
+    }
+    R = {(1, 1, 0): np.exp(-4j * math.pi / 5), (1, 1, 1): np.exp(3j * math.pi / 5)}
+    return _finalize(ring, _table(F), _table(R), [0.0, 0.4], 14.0 / 5.0, "fibonacci")
 
 
 def _ising() -> CategoryData:
@@ -212,27 +194,19 @@ def _ising() -> CategoryData:
     N[SIG, PSI, SIG] = N[PSI, SIG, SIG] = 1
     N[PSI, PSI, 0] = 1
     ring = FusionRing(names, [0, 1, 2], N)
-    F, R = _empty_symbols(ring)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    # sigma^4 fusing matrix: channels (1, psi) on both sides
-    for e in (0, PSI):
-        for f in (0, PSI):
-            sign = -1.0 if (e == PSI and f == PSI) else 1.0
-            F[(SIG, SIG, SIG, SIG, e, f)] = _scalar(sign * inv_sqrt2)
-    F[(SIG, PSI, SIG, PSI, SIG, SIG)] = _scalar(-1.0)
-    F[(PSI, SIG, PSI, SIG, SIG, SIG)] = _scalar(-1.0)
-    # remaining non-unit tuples are +1
-    for key, block in F.items():
-        if block is None:
-            F[key] = _scalar(1.0)
-    for key in R:
-        R[key] = _rscalar(1.0)
-    R[(SIG, SIG, 0)] = _rscalar(np.exp(-1j * math.pi / 8))
-    R[(SIG, SIG, PSI)] = _rscalar(np.exp(3j * math.pi / 8))
-    R[(PSI, PSI, 0)] = _rscalar(-1.0)
-    R[(SIG, PSI, SIG)] = _rscalar(-1j)
-    R[(PSI, SIG, SIG)] = _rscalar(-1j)
-    return _finalize(ring, F, R, [0.0, 1.0 / 16.0, 0.5], 0.5, "ising")
+    # sigma^4 fusing matrix: channels (1, psi) on both sides; remaining non-unit tuples are +1
+    F = {(SIG, SIG, SIG, SIG, e, f): -inv_sqrt2 if e == f == PSI else inv_sqrt2
+         for e in (0, PSI) for f in (0, PSI)}
+    F[(SIG, PSI, SIG, PSI, SIG, SIG)] = F[(PSI, SIG, PSI, SIG, SIG, SIG)] = -1.0
+    R = {
+        (SIG, SIG, 0): np.exp(-1j * math.pi / 8),
+        (SIG, SIG, PSI): np.exp(3j * math.pi / 8),
+        (PSI, PSI, 0): -1.0,
+        (SIG, PSI, SIG): -1j,
+        (PSI, SIG, SIG): -1j,
+    }
+    return _finalize(ring, _table(F), _table(R), [0.0, 1.0 / 16.0, 0.5], 0.5, "ising")
 
 
 # -- su2_level ---------------------------------------------------------------
@@ -258,14 +232,6 @@ class _QuantumIntegers:
         for table in (self.num, self.fac):  # one instance serves every caller at its level
             table.setflags(write=False)
 
-    def __getitem__(self, n: int) -> float:
-        return self.num[n]
-
-    def factorial(self, n: int) -> float:
-        if n < 0:
-            return 0.0
-        return self.fac[n]
-
 
 @functools.lru_cache(maxsize=16)
 def _quantum_integers(k: int) -> _QuantumIntegers:
@@ -273,13 +239,9 @@ def _quantum_integers(k: int) -> _QuantumIntegers:
     return _QuantumIntegers(k)
 
 
-def _admissible_triad(k: int, a: int, b: int, c: int) -> bool:
-    """Level-k truncated triangle rule on twice-spin labels."""
-    return (
-        (a + b + c) % 2 == 0
-        and abs(a - b) <= c <= a + b
-        and a + b + c <= 2 * k
-    )
+def _admissible_triad(k: int, a, b, c):
+    """Level-k truncated triangle rule on twice-spin labels, or on arrays of them."""
+    return ((a + b + c) % 2 == 0) & (abs(a - b) <= c) & (c <= a + b) & (a + b + c <= 2 * k)
 
 
 def q_racah_6j(k: int, a: int, b: int, c: int, d: int, e: int, f: int) -> complex:
@@ -296,80 +258,53 @@ def q_racah_6j(k: int, a: int, b: int, c: int, d: int, e: int, f: int) -> comple
     for triad in ((b, c, e), (a, e, d), (a, b, f), (f, c, d)):
         if not _admissible_triad(k, *triad):
             raise InputError(f"inadmissible triad {triad} at level {k}")
-    qi = _quantum_integers(k)
-    sign = -1.0 if ((a + b + c + d) // 2) % 2 else 1.0
-    value = (
-        sign
-        * math.sqrt(qi[e + 1] * qi[f + 1])
-        * _racah_w(qi, a, b, f, c, d, e)
+    key = np.array([a, b, c, d, e, f])[:, None]
+    return complex(_racah_6j(_quantum_integers(k), *key)[0])
+
+
+def _racah_6j(qi: _QuantumIntegers, a, b, c, d, e, f) -> np.ndarray:
+    """``q_racah_6j`` of every key given by its label columns, in one pass over the z range of
+    the q-deformed recoupling sum of {a b f; c d e}.  Per key it makes the floating-point
+    operations of a scalar evaluation in the same order: products left to right, and the
+    terms (-1)^z [z+1]! / denominator summed in z order from 0.0.  The factorial indices of a
+    denominator lie in 0..k, where [n]! >= 1, so none vanishes."""
+    fac = qi.fac
+    triads = [(a, b, f), (f, c, d), (b, c, e), (a, e, d)]
+    lo = [(x + y + z) // 2 for x, y, z in triads]
+    hi = [(a + b + c + d) // 2, (a + f + c + e) // 2, (b + f + d + e) // 2]
+    start, stop = np.max(lo, axis=0), np.min(hi, axis=0)
+    total = np.zeros(len(a))
+    for z in range(start.min(initial=2 * qi.k), stop.max(initial=-1) + 1):  # empty if no keys
+        at = np.flatnonzero((start <= z) & (z <= stop))  # the keys whose sum has a term at z
+        denom = fac[z - lo[0][at]]
+        for x in lo[1:]:
+            denom = denom * fac[z - x[at]]
+        for x in hi:
+            denom = denom * fac[x[at] - z]
+        total[at] += (-1.0) ** z * fac[z + 1] / denom
+    t1, t2, t3, t4 = (
+        np.sqrt(fac[(-x + y + z) // 2] * fac[(x - y + z) // 2] * fac[(x + y - z) // 2]
+                / fac[(x + y + z) // 2 + 1])
+        for x, y, z in triads
     )
-    return complex(value)
-
-
-def _triangle_factor(qi: _QuantumIntegers, a: int, b: int, c: int) -> float:
-    num = (
-        qi.factorial((-a + b + c) // 2)
-        * qi.factorial((a - b + c) // 2)
-        * qi.factorial((a + b - c) // 2)
-    )
-    return math.sqrt(num / qi.factorial((a + b + c) // 2 + 1))
-
-
-def _racah_w(qi, a, b, f, c, d, e) -> float:
-    """q-deformed recoupling sum for the symbol {a b f; c d e} (twice-spins)."""
-    start = max(a + b + f, f + c + d, b + c + e, a + e + d) // 2
-    stop = min(a + b + c + d, a + f + c + e, b + f + d + e) // 2
-    total = 0.0
-    for z in range(start, stop + 1):
-        denom = (
-            qi.factorial(z - (a + b + f) // 2)
-            * qi.factorial(z - (f + c + d) // 2)
-            * qi.factorial(z - (b + c + e) // 2)
-            * qi.factorial(z - (a + e + d) // 2)
-            * qi.factorial((a + b + c + d) // 2 - z)
-            * qi.factorial((a + f + c + e) // 2 - z)
-            * qi.factorial((b + f + d + e) // 2 - z)
-        )
-        if denom == 0.0:
-            raise InputError(
-                f"vanishing factorial in recoupling sum at level {qi.k} for "
-                f"({a},{b},{f},{c},{d},{e})"
-            )
-        total += (-1.0) ** z * qi.factorial(z + 1) / denom
-    return total * (
-        _triangle_factor(qi, a, b, f)
-        * _triangle_factor(qi, f, c, d)
-        * _triangle_factor(qi, b, c, e)
-        * _triangle_factor(qi, a, e, d)
-    )
+    sign = np.where(hi[0] % 2, -1.0, 1.0)
+    return sign * np.sqrt(qi.num[e + 1] * qi.num[f + 1]) * (total * (t1 * t2 * t3 * t4))
 
 
 def _su2_level(k: int) -> CategoryData:
-    names = [str(jj) for jj in range(k + 1)]
-    m = k + 1
-    N = np.zeros((m, m, m), dtype=int)
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                if _admissible_triad(k, a, b, c):
-                    N[a, b, c] = 1
-    ring = FusionRing(names, np.arange(m), N)
-    F, R = _empty_symbols(ring)
-    for key in F:
-        a, b, c, d, e, f = key
-        if UNIT in (a, b, c):
-            continue
-        F[key] = _scalar(q_racah_6j(k, a, b, c, d, e, f))
-    kappa = k + 2
-    for (a, b, c) in R:
+    m, kappa = k + 1, k + 2
+    N = _admissible_triad(k, *np.ogrid[:m, :m, :m]).astype(int)
+    ring = FusionRing([str(jj) for jj in range(m)], np.arange(m), N)
+
+    def r(a, b, c):
         # twice-spin grading sign keeps the braiding-derived twists on the
         # branch exp(2 i pi j(j+1)/(k+2)) despite the signed dimensions
         grading = -1.0 if (a * b) % 2 else 1.0
         parity = -1.0 if ((c - a - b) // 2) % 2 else 1.0
         casimir = (c * (c + 2) - a * (a + 2) - b * (b + 2)) / 4.0
-        R[(a, b, c)] = _rscalar(grading * parity * np.exp(1j * math.pi * casimir / kappa))
+        return grading * parity * np.exp(1j * math.pi * casimir / kappa)
+
     weights = [Fraction(jj * (jj + 2), 4 * kappa) for jj in range(m)]
     central = Fraction(3 * k, kappa)
-    return _finalize(
-        ring, F, R, [float(h) for h in weights], float(central), f"su2_level_{k}"
-    )
+    return _finalize(ring, functools.partial(_racah_6j, _quantum_integers(k)), _each(r),
+                     [float(h) for h in weights], float(central), f"su2_level_{k}")

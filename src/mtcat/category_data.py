@@ -771,7 +771,15 @@ def _f_values(data: CategoryData) -> np.ndarray:
 
 
 def _with_r(data: CategoryData, f: np.ndarray, direction: str) -> np.ndarray:
-    """The F entries ``f``, then the R entries for ``direction``, flat in ``_Layout`` order."""
+    """The F entries ``f``, then the R entries for ``direction``, flat in ``_Layout`` order.
+    A braiding needs a commutative ring: InputError names the first (a, b, c) where
+    N[a,b,c] != N[b,a,c]."""
+    N = data.ring.N
+    bad = np.argwhere(N != N.transpose(1, 0, 2))
+    if len(bad):
+        a, b, c = bad[0].tolist()
+        raise InputError(f"fusion ring is not commutative: N[{a},{b},{c}] = {N[a, b, c]} but "
+                         f"N[{b},{a},{c}] = {N[b, a, c]}, and a braiding needs a commutative ring")
     return np.concatenate([f, _flat(data.ring, data.R, "R", direction != "braid")])
 
 

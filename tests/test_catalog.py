@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+import reference_catalog as reference
+from conftest import CATALOG
 
 from mtcat import (
     CatalogSpec,
@@ -13,6 +17,8 @@ from mtcat import (
     validate_ring,
     validate_symbols,
 )
+from mtcat import io
+from mtcat.catalog import MAX_LEVEL, _quantum_integers, _su2_level
 from mtcat.category_data import coherence_summary
 from mtcat.fusion_ring import fp_dimensions
 from mtcat.ribbon_modular import ribbon_residual, twist_weight_residual
@@ -139,3 +145,86 @@ def test_su2_level_12_coherence():
     assert ribbon_residual(data) < 1e-7
     assert twist_weight_residual(data) < 1e-9
     assert check_modular(data).verdict == "modular"
+
+
+# -- the batched generator against the per-key reference -----------------------
+
+
+def _assert_bit_identical(got: dict, want: dict):
+    """Same keys in the same order, and the same bits in every one-entry block."""
+    assert list(got) == list(want)
+    bits = [np.concatenate([b.ravel() for b in t.values()]).view(np.uint64) for t in (got, want)]
+    differ = np.flatnonzero(bits[0] != bits[1])
+    assert differ.size == 0, f"{differ.size} words differ, first in {list(got)[differ[0] // 2]}"
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [(family, kw) for _, family, kw in CATALOG]
+    + [("su2_level", {"level": k}) for k in (0, 9, 10, 11, 12)],
+    ids=[name for name, _, _ in CATALOG] + [f"su2_k{k}" for k in (0, 9, 10, 11, 12)],
+)
+def test_generated_file_matches_reference(family, params):
+    got, want = make(family, **params), reference.make(family, **params)
+    assert io.dumps(got).splitlines() == io.dumps(want).splitlines()  # a short diff on failure
+    assert list(got.F) == list(want.F) and list(got.R) == list(want.R)
+
+
+@pytest.mark.slow
+def test_su2_level_13_f_bit_identical():
+    got, want = _su2_level(13), reference.su2_level(13)
+    _assert_bit_identical(got.F, want.F)
+    _assert_bit_identical(got.R, want.R)
+
+
+def test_su2_level_14_sampled_keys_bit_identical():
+    data = _su2_level(14)
+    keys = [key for key in data.F if 0 not in key[:3]]
+    rng = np.random.default_rng(14)
+    for i in rng.choice(len(keys), size=2000, replace=False):
+        key = keys[i]
+        want = np.array(reference.q_racah_6j(14, *key)).tobytes()
+        assert data.F[key].tobytes() == want, key
+        assert np.array(q_racah_6j(14, *key)).tobytes() == want, key
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"family": "su2_level", "level": True},
+        {"family": "su2_level", "level": 2.0},
+        {"family": "su2_level", "level": "3"},
+        {"family": "su2_level", "level": np.int64(3)},
+        {"family": "pointed_zn", "n": 4.0},
+        {"family": "pointed_zn", "n": True},
+        {"family": "pointed_zn", "n": 3, "q_exponent": 2.0},
+        {"family": "pointed_zn", "n": 4, "q_exponent": False},
+    ],
+)
+def test_spec_parameters_must_be_ints(params):
+    with pytest.raises(InputError, match="must be an integer"):
+        make(**params)
+
+
+def test_generation_raises_no_runtime_warning():
+    # the kernel's z loop touches only the keys whose sum has a term there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for k in range(MAX_LEVEL + 1):
+            make("su2_level", level=k)
+        for _, family, kw in CATALOG:
+            make(family, **kw)
+
+
+@pytest.mark.parametrize("k", range(MAX_LEVEL + 1))
+def test_recoupling_denominators_stay_nonzero(k):
+    # why the recoupling sum needs no vanishing-denominator check: every
+    # factorial index of a denominator lies in 0..k, where [n]! >= 1
+    assert _quantum_integers(k).fac[: k + 1].min() >= 1.0
+    a, b, c, d, e, f = np.array(list(_su2_level(k).F)).T
+    lo = [(a + b + f) // 2, (f + c + d) // 2, (b + c + e) // 2, (a + e + d) // 2]
+    hi = [(a + b + c + d) // 2, (a + f + c + e) // 2, (b + f + d + e) // 2]
+    start, stop = np.max(lo, axis=0), np.min(hi, axis=0)
+    assert (start <= stop).all()
+    assert max((stop - x).max() for x in lo) <= k
+    assert max((x - start).max() for x in hi) <= k

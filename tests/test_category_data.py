@@ -9,6 +9,7 @@ from mtcat import (
     GaugeTransform,
     IncompleteData,
     InputError,
+    check_modular,
     dumps,
     f_inverse_unit_check,
     f_matrix,
@@ -21,11 +22,13 @@ from mtcat import (
     ribbon_residual,
     rigidity_scalar,
     run_report,
+    save,
     triangle_residual,
     validate_ring,
     validate_symbols,
 )
 from mtcat import category_data
+from mtcat.cli import main
 from mtcat.io import content_hash
 
 import reference_coherence as reference
@@ -109,6 +112,27 @@ def _vec_s3_ring():
             N[g, h, product[g][h]] = 1
     dual = [row.index(0) for row in product]
     return FusionRing([str(g) for g in group], dual, N)
+
+
+def test_braiding_needs_a_commutative_ring(tmp_path, capsys):
+    # Vec_S3 with all-ones F and R: associative, but no braiding can exist
+    ring = _vec_s3_ring()
+    F = {key: np.ones(category_data.f_block_shape(ring, *key), dtype=complex)
+         for key in category_data.admissible_f_keys(ring)}
+    R = {key: np.ones((1, 1), dtype=complex) for key in category_data.admissible_r_keys(ring)}
+    data = category_data.CategoryData(ring, F, R)
+    assert pentagon_residual(data)[0] == 0.0
+    message = "fusion ring is not commutative: N[1,2,3] = 0 but N[2,1,3] = 1"
+    checks = [category_data.coherence_summary, check_modular, lambda d: hexagon_residual(d, "braid"),
+              lambda d: hexagon_residual(d, "inverse_braid")]
+    for check in checks:
+        with pytest.raises(InputError, match=re.escape(message)):
+            check(data)
+    path = tmp_path / "vec_s3.json"
+    save(data, str(path))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name", [name for name, _, _ in CATALOG] + ["rep_a4", "vec_s3"])
