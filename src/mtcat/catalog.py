@@ -23,7 +23,6 @@ module's own acceptance gate.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _FAMILIES as FAMILIES
-from .category_data import CategoryData, _stacked, _stacking
+from .category_data import CategoryData, _key_labels, _stacked, _stacking
 from .errors import InputError
 from .fusion_ring import UNIT, FusionRing
 
@@ -100,9 +99,8 @@ def _finalize(ring, f, r, weights, central_charge, name) -> CategoryData:
     key, both in admissible-key order, and each returns the entries of its keys."""
     tables = []
     for kind, entries in (("F", f), ("R", r)):
-        stacking = _stacking(ring, kind)
+        stacking, labels = _stacking(ring, kind), _key_labels(ring, kind)
         keys = stacking.admissible
-        labels = np.fromiter(itertools.chain.from_iterable(keys), np.intp).reshape(len(keys), -1).T
         flat = np.ones(len(keys), dtype=complex)
         live = (labels[:3] != UNIT).all(axis=0) if kind == "F" else slice(None)
         flat[live] = entries(*labels[:, live])

@@ -50,23 +50,28 @@ def f_block_shape(ring: FusionRing, a, b, c, d, e, f):
 
 def admissible_f_keys(ring: FusionRing) -> list[FKey]:
     """All F keys whose four multiplicity ranges are non-empty, in lex order."""
-
-    def build():  # the keys whose block has a row and a column
-        lay, shape = _layout(ring), (ring.size,) * 5
-        rows, cols = lay.rows.reshape(shape) > 0, lay.cols.reshape(shape) > 0
-        mask = rows[..., :, None] & cols[..., None, :]
-        keys = np.stack(np.unravel_index(np.flatnonzero(mask), mask.shape), axis=1)  # argwhere
-        return list(map(tuple, keys.tolist()))
-
-    return _cached(ring, "f key list", build)
+    return _cached(ring, "f key list", lambda: list(map(tuple, _key_labels(ring, "F").T.tolist())))
 
 
 def admissible_r_keys(ring: FusionRing) -> list[RKey]:
-    def build():
-        mask = (ring.N > 0) & (ring.N.transpose(1, 0, 2) > 0)
-        return list(map(tuple, np.argwhere(mask).tolist()))
+    return _cached(ring, "r key list", lambda: list(map(tuple, _key_labels(ring, "R").T.tolist())))
 
-    return _cached(ring, "r key list", build)
+
+def _key_labels(ring: FusionRing, kind: str) -> np.ndarray:
+    """The admissible F or R keys as label columns, one row per label, in lex order; found
+    from the ring each time, not kept."""
+    m, N = ring.size, ring.N
+    if kind == "R":
+        return np.array(np.nonzero((N > 0) & (N.transpose(1, 0, 2) > 0)))
+    # an F key is a row (a,b,c,d,e) and a column (a,b,c,d,f) of one fusing matrix
+    lay = _layout(ring)
+    rows, cols = np.flatnonzero(lay.rows > 0), np.flatnonzero(lay.cols > 0)  # raveled
+    per_matrix = np.bincount(cols // m, minlength=m**4)
+    per_row = np.take(per_matrix, rows // m)  # the keys of each row, one per column
+    before = np.repeat(np.cumsum(per_row) - per_row, per_row)  # keys of the rows before
+    first_col = np.take(np.cumsum(per_matrix) - per_matrix, rows // m)
+    col = np.take(cols, np.repeat(first_col, per_row) + np.arange(per_row.sum()) - before)
+    return np.array([*np.unravel_index(np.repeat(rows, per_row), (m,) * 5), col % m])
 
 
 def fusion_vertices(ring: FusionRing) -> list[RKey]:
@@ -967,7 +972,7 @@ def random_gauge(ring: FusionRing, seed: int) -> GaugeTransform:
     One normal draw covers every vertex, in vertex order with the real then
     the imaginary parts of each matrix, and the QR runs once per matrix size.
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InputError(f"gauge seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     vertices = np.argwhere(ring.N > 0)
@@ -1053,9 +1058,10 @@ def _vertex_slots(ring: FusionRing) -> tuple[list, dict, np.ndarray]:
 
 class _Stacked(dict):
     """An F or R table of every admissible key, its blocks views of ``stacks`` laid out as
-    ``stacking``.  A method that changes the table drops them; readers then gather it."""
+    ``stacking`` and its keys in the order of the list ``order``.  A method that changes the
+    table drops them; readers then gather it."""
 
-    stacking = stacks = None
+    stacking = stacks = order = None
 
     def __reduce__(self):  # a copy or pickle holds new arrays, not views: a plain dict
         return dict, (dict(self),)
@@ -1063,14 +1069,49 @@ class _Stacked(dict):
 
 def _dropping(method):
     def drop(self, *args, **kwargs):
-        self.stacking = self.stacks = None
+        self.stacking = self.stacks = self.order = None
         return method(self, *args, **kwargs)
 
     return drop
 
 
-for _name in "__setitem__ __delitem__ pop popitem clear update setdefault __ior__".split():
+_MUTATORS = "__setitem__ __delitem__ pop popitem clear update setdefault __ior__".split()
+for _name in _MUTATORS:
     setattr(_Stacked, _name, _dropping(getattr(dict, _name)))
+
+
+class _Unread(_Stacked):
+    """A stacked table whose per-key views are not made yet: the first dict method called on it
+    makes them, in ``order``, and turns it into a ``_Stacked``, as does ``==`` or ``!=`` with
+    it on the right of another unread table.  Readers of the stacks never make them."""
+
+    def _read(self):
+        with _read_lock:
+            if type(self) is _Unread:
+                dict.update(self, dict.fromkeys(self.order))
+                blocks = itertools.chain.from_iterable(self.stacks)
+                dict.update(self, zip(self.stacking.keys, blocks))
+                self.__class__ = _Stacked
+
+
+_read_lock = threading.Lock()
+
+
+def _reading(name):
+    def read(self, *args, **kwargs):
+        for table in (self, *args):
+            if type(table) is _Unread:
+                table._read()
+        return getattr(self, name)(*args, **kwargs)  # now the method of a _Stacked
+
+    return read
+
+
+# every method that looks at the dict's own entries; dict(), {**t}, | from the right, copies
+# and pickles go through keys() and __getitem__
+for _name in _MUTATORS + """__len__ __iter__ __reversed__ __getitem__ __contains__ __eq__ __ne__
+        __or__ __repr__ get keys values items copy""".split():
+    setattr(_Unread, _name, _reading(_name))
 
 
 class _Stacking:
@@ -1083,9 +1124,9 @@ class _Stacking:
 
     def __init__(self, ring: FusionRing, kind: str):
         keys = admissible_f_keys(ring) if kind == "F" else admissible_r_keys(ring)
-        self.admissible, (width, vertices) = keys, _BLOCK_VERTICES[kind]
+        self.admissible, vertices = keys, _BLOCK_VERTICES[kind][1]
         slot = _cached(ring, "vertex slots", lambda: _vertex_slots(ring))[2]
-        labels = np.fromiter(itertools.chain.from_iterable(keys), np.intp).reshape(-1, width).T
+        labels = _key_labels(ring, kind)
         at = [tuple(labels[i] for i in vertex) for vertex in vertices]
         dims = [ring.N[v] for v in at]
         self.shapes = list(zip(*(x.tolist() for x in dims)))
@@ -1122,11 +1163,11 @@ def _stacked_on(ring: FusionRing, table: dict, kind: str) -> bool:
 
 
 def _stacked(ring: FusionRing, kind: str, order, stacks: list) -> _Stacked:
-    """The stacked table of ``stacks``, with its keys in the order of ``order``."""
-    stacking = _stacking(ring, kind)
-    table = _Stacked(dict.fromkeys(order))
-    dict.update(table, zip(stacking.keys, itertools.chain.from_iterable(stacks)))
-    table.stacking, table.stacks = stacking, stacks
+    """The stacked table of ``stacks``, unread, with its keys in the order of ``order``: a
+    list of keys, or a table (a stacked one shares its order)."""
+    table = _Unread()
+    table.stacking, table.stacks = _stacking(ring, kind), stacks
+    table.order = order.order if _stacked_on(ring, order, kind) else list(order)
     return table
 
 

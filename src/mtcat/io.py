@@ -15,8 +15,9 @@ File layout::
     }
 
 Labels are referenced by index; multiplicity indices are 1-based in files
-(0-based in memory).  Floats serialize via ``repr`` (shortest decimal that
-round-trips the double, at most 17 significant digits), so save -> load is
+(0-based in memory).  Floats are written as ``repr`` writes them (shortest
+decimal that round-trips the double, at most 17 significant digits), those of
+a large symbol table by the numpy kernel of ``_floatrepr``, so save -> load is
 exact and reports are byte-reproducible.
 """
 
@@ -31,7 +32,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _floatrepr
 from .category_data import (
     _BLOCK_VERTICES,
     CategoryData,
@@ -54,6 +55,9 @@ SCHEMA_VERSION = 1
 RIGIDITY_FLOOR = 1e-6
 MAX_MULTIPLICITY = 2**31 - 1  # the coherence tables index with int32
 CHECK_NAMES = ("pentagon", "hexagon", "triangle", "ribbon", "rigidity", "modularity")
+_KERNEL_FLOATS = 1500  # a table of fewer floats is written by repr, one by one
+_ROWS = 2048  # rows whose floats the kernel writes at once
+_SEPARATOR = np.frombuffer(b",\n   ", dtype=np.uint8)  # of a row's re and im
 
 
 # ---------------------------------------------------------------------------
@@ -72,20 +76,20 @@ def dumps(data: CategoryData) -> str:
     return "".join(_text_parts(data))
 
 
-def _text_parts(data: CategoryData) -> list:
-    """The canonical text in parts; the tables through a row template, not the json encoder,
-    which is pure Python when it indents, and the ring's fields kept in the ring's plan."""
+def _text_parts(data: CategoryData):
+    """The canonical text in parts, made as they are read; the tables through a row template,
+    not the json encoder, which is pure Python when it indents, and the ring's fields kept in
+    the ring's plan."""
     ring = data.ring
-    texts = dict(_cached(ring, "ring text", lambda: _field_texts(_ring_fields(ring))))
-    texts.update(_field_texts(_data_fields(data)))
+    fields = {**_cached(ring, "ring text", lambda: _field_texts(_ring_fields(ring))),
+              **_field_texts(_data_fields(data))}
+    texts = {name: (text,) for name, text in fields.items()}
     texts["f_symbols"] = _table_text(ring, data.F, "F")
     texts["r_symbols"] = _table_text(ring, data.R, "R")
-    parts = []
-    for name, text in sorted(texts.items()):
-        parts += [",\n ", json.dumps(name), ": ", text]
-    parts[0] = "{\n "  # no comma before the first field
-    parts.append("\n}")
-    return parts
+    for i, (name, text) in enumerate(sorted(texts.items())):
+        yield from (",\n " if i else "{\n ", json.dumps(name), ": ")  # no comma before the first
+        yield from text
+    yield "\n}"
 
 
 def _field_texts(fields: dict) -> dict:
@@ -137,34 +141,53 @@ def _symbol_entries(table: dict) -> tuple[list, list, list, list]:
     )
 
 
-def _table_text(ring: FusionRing, table: dict, kind: str) -> str:
-    """A symbol table as ``json.dumps`` writes it one level deep with ``indent=1``.
+def _table_text(ring: FusionRing, table: dict, kind: str):
+    """A symbol table as ``json.dumps`` writes it one level deep with ``indent=1``, in parts
+    made as they are read.
 
     Everything in a row but its two floats depends only on the keys and the
-    block shapes: a ``%``-template, kept in the ring's plan for a stacked table,
-    whose rows (every admissible key) are in ``_Layout`` order.
+    block shapes: a template, kept in the ring's plan for a stacked table,
+    whose rows (every admissible key) are in ``_Layout`` order.  A table of
+    ``_KERNEL_FLOATS`` floats or more has its floats written by the array
+    kernel, ``_ROWS`` rows at a time; a smaller one by ``repr``, one by one.
     """
     if _stacked_on(ring, table, kind):
         keys, shapes = _stacking(ring, kind).admissible, _stacking(ring, kind).shapes
-        template = _cached(ring, f"{kind} rows", lambda: _row_template(keys, shapes))
-        values = _flat(ring, table, kind)
+        values = _flat(ring, table, kind).view(float)  # re, im of every entry
+        split = values.size >= _KERNEL_FLOATS
+        template = _cached(ring, f"{kind} rows", lambda: _row_template(keys, shapes, split))
     else:
         keys = sorted(table)
         blocks = list(map(table.__getitem__, keys))
         shapes = list(map(_shape, blocks))
         _check_shapes(ring, kind, keys, shapes)
-        template = _row_template(keys, shapes)
         values = np.concatenate([np.empty(0), *(block.ravel() for block in blocks)], dtype=complex)
-    values = values.view(float)  # re, im of every entry
-    texts = values.tolist()
-    for i in np.flatnonzero(~np.isfinite(values)).tolist():
-        texts[i] = json.dumps(texts[i])  # NaN, Infinity, -Infinity
-    return template % tuple(texts)  # %s writes a float as repr does
+        values = values.view(float)
+        template = _row_template(keys, shapes, values.size >= _KERNEL_FLOATS)
+    if isinstance(template, str):
+        texts = values.tolist()
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            texts[i] = json.dumps(texts[i])  # NaN, Infinity, -Infinity
+        yield template % tuple(texts)  # %s writes a float as repr does
+        return
+    heads, tail = template
+    for start in range(0, len(heads), _ROWS):  # each row: its head, re, ",\n   ", im
+        head = heads[start : start + _ROWS]
+        texts = _floatrepr.texts(values[2 * start : 2 * (start + len(head))])
+        chars, keep = (a.reshape(len(head), 2, -1) for a in texts)
+        between = np.broadcast_to(_SEPARATOR, (len(head), 5))
+        text = np.concatenate([head, chars[:, 0], between, chars[:, 1]], axis=1)
+        kept = np.concatenate([head != 0, keep[:, 0], between != 0, keep[:, 1]], axis=1)
+        del texts, chars, keep
+        yield str(text[kept].data, "ascii")
+    yield tail
 
 
-def _row_template(keys: list, shapes: list) -> str:
+def _row_template(keys: list, shapes: list, split: bool = False):
     """The text of a table of the sorted ``keys`` with blocks of ``shapes``, with ``%s`` in
-    place of every real and imaginary part."""
+    place of every real and imaginary part; ``split``, as the text of each row before its
+    two parts, right-aligned and padded with NUL in a uint8 array, and the text after the
+    last row."""
     if not keys:
         return "[]"
     key_row = ",\n   ".join(["%s"] * len(keys[0]))
@@ -180,7 +203,13 @@ def _row_template(keys: list, shapes: list) -> str:
         ),
         itertools.chain.from_iterable(per_block),
     )
-    return "[\n" + ",\n".join(rows) + "\n ]"
+    text = "[\n" + ",\n".join(rows) + "\n ]"
+    if not split:
+        return text
+    parts = text.split("%s,\n   %s")
+    width = max(map(len, parts[:-1]))
+    heads = b"".join(part.encode().rjust(width, b"\0") for part in parts[:-1])
+    return np.frombuffer(heads, dtype=np.uint8).reshape(-1, width), parts[-1]
 
 
 def save(data: CategoryData, path) -> None:
@@ -407,10 +436,11 @@ def _symbol_table(doc, where: str, ring: FusionRing) -> dict:
         stacks.append(np.take(values, gather).reshape(len(g), *block_shape))
     groups = np.concatenate(groups)
     keys = list(map(tuple, ints[:n_key, order[starts[groups]]].T.tolist()))
-    table = dict.fromkeys(map(keys.__getitem__, np.argsort(first_row[groups]).tolist()))
+    in_file = list(map(keys.__getitem__, np.argsort(first_row[groups]).tolist()))
     kind = where[0].upper()
     if len(keys) == len(_stacking(ring, kind).admissible):  # ordered as stacks are
-        return _stacked(ring, kind, table, stacks)
+        return _stacked(ring, kind, in_file, stacks)
+    table = dict.fromkeys(in_file)
     table.update(zip(keys, itertools.chain.from_iterable(stacks)))  # views of the stacks
     return table
 
@@ -505,7 +535,9 @@ def run_report(data: CategoryData, checks=None, tolerance: float = 1e-9) -> dict
     relative), so the verdict is stable under tolerance tweaks.  Non-finite
     numbers are written as ``null``.
     """
-    if not (isinstance(tolerance, numbers.Real) and math.isfinite(tolerance) and tolerance > 0):
+    if isinstance(tolerance, bool) or not (
+        isinstance(tolerance, numbers.Real) and math.isfinite(tolerance) and tolerance > 0
+    ):
         raise InputError(f"tolerance must be a finite positive number, got {tolerance!r}")
     if checks is None:
         checks = CHECK_NAMES

@@ -522,6 +522,20 @@ def test_run_report_rejects_a_bad_tolerance(fib, tol):
         run_report(fib, tolerance=tol)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda data, flag: run_report(data, tolerance=flag), "tolerance must be a finite"),
+        (lambda data, flag: random_gauge(data.ring, flag), "gauge seed must be a non-negative"),
+    ],
+    ids=["run_report_tolerance", "random_gauge_seed"],
+)
+def test_a_bool_is_not_taken_as_a_number(fib, call, message, flag):
+    with pytest.raises(InputError, match=f"{message}.*got {flag}"):
+        call(fib, flag)
+
+
 @pytest.mark.parametrize("checks", ["", ",", " , "])
 def test_cli_verify_rejects_an_empty_check_selection(tmp_path, catalog, checks):
     path = tmp_path / "bumped.json"

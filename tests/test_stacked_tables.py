@@ -10,18 +10,23 @@ import copy
 import json
 import operator
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from mtcat import CategoryData, dumps, gauge_transform, loads, make, random_gauge
 from mtcat.category_data import (
+    _flat,
     _inverse_unit_checks,
+    _Stacked,
     _stacked_on,
+    _Unread,
     coherence_summary,
     validate_symbols,
 )
-from mtcat.io import content_hash
+from mtcat.io import content_hash, run_report
 from mtcat.ribbon_modular import quantum_dimensions
 
 from conftest import CATALOG, random_rep_a4_data
@@ -194,3 +199,158 @@ def test_a_table_of_another_plan_is_gathered(built):
     assert not _stacked_on(other.ring, moved.F, "F")
     assert validate_symbols(moved) == validate_symbols(_plain(moved))
     assert validate_symbols(moved)  # the keys of another ring
+
+
+# A table from gauge_transform, copy() or load has no per-key views until a dict method is
+# called on it; these compare it, unread, with the same table once read and with a plain dict.
+
+
+def _unread_tables():
+    data = make("su2_level", level=3)  # blocks of one entry: == compares them as numbers
+    gauged = gauge_transform(data, random_gauge(data.ring, 0))
+    assert type(gauged.F) is _Unread  # the flag: a dict method has not yet been called
+    return gauged.F, gauge_transform(data, random_gauge(data.ring, 0)).F
+
+
+def _subjects():
+    """The same F table: unread, read, and as a plain dict; and an equal unread table."""
+    unread, other = _unread_tables()
+    read = _unread_tables()[0]
+    len(read)
+    assert type(read) is _Stacked and type(unread) is _Unread
+    return {"unread": unread, "read": read, "plain": dict(_unread_tables()[0])}, other
+
+
+def _seen(x):
+    """``x`` as comparable values: arrays by shape and bytes, tables as their items."""
+    if isinstance(x, np.ndarray):
+        return "array", x.shape, x.tobytes()
+    if isinstance(x, dict):
+        return type(x) is dict, [(key, _seen(value)) for key, value in x.items()]
+    if isinstance(x, (list, tuple, type({}.keys()), type({}.values()), type({}.items()))):
+        return [_seen(item) for item in x]
+    return x
+
+
+def _outcome(op, table, other):
+    try:
+        result = op(table, other)
+    except Exception as exc:  # noqa: BLE001 - every subject must fail alike
+        return type(exc).__name__, str(exc)
+    return "itself" if result is table else _seen(result), _seen(dict(table.items()))
+
+
+KEY, ABSENT = (1, 1, 1, 1, 0, 0), (9, 9, 9, 9, 9, 9)
+READS = {
+    "len": lambda t, o: len(t),
+    "iter": lambda t, o: list(iter(t)),
+    "reversed": lambda t, o: list(reversed(t)),
+    "keys": lambda t, o: t.keys(),
+    "values": lambda t, o: t.values(),
+    "items": lambda t, o: t.items(),
+    "get": lambda t, o: (t.get(KEY), t.get(ABSENT), t.get(ABSENT, "none")),
+    "getitem": lambda t, o: t[KEY],
+    "getitem_absent": lambda t, o: t[ABSENT],
+    "in": lambda t, o: (KEY in t, ABSENT in t),
+    "eq_other": lambda t, o: (t == o, o == t, t != o, o != t),
+    "eq_plain": lambda t, o: (t == dict(o), dict(o) == t, t != dict(o), dict(o) != t),
+    "eq_empty": lambda t, o: (t == {}, {} == t, t != {}, {} != t),
+    "eq_self": lambda t, o: (t == t, t != t),  # noqa: PLR0124
+    "repr": lambda t, o: repr(t),
+    "str": lambda t, o: str(t),
+    "dict": lambda t, o: dict(t),
+    "unpack": lambda t, o: {**t},
+    "copy_method": lambda t, o: t.copy(),
+    "copy": lambda t, o: copy.copy(t),
+    "deepcopy": lambda t, o: copy.deepcopy(t),
+    "pickle": lambda t, o: pickle.loads(pickle.dumps(t)),
+    "or": lambda t, o: t | {ABSENT: 1},
+    "ror": lambda t, o: {ABSENT: 1} | t,
+    "or_other": lambda t, o: t | o,
+    "bool": lambda t, o: bool(t),
+}
+WRITES = {
+    "setitem": lambda t, o: t.__setitem__(KEY, t[KEY] * 2),
+    "delitem": lambda t, o: t.__delitem__(KEY),
+    "delitem_absent": lambda t, o: t.__delitem__(ABSENT),
+    "pop": lambda t, o: t.pop(KEY),
+    "pop_absent": lambda t, o: t.pop(ABSENT, "none"),
+    "popitem": lambda t, o: t.popitem(),
+    "clear": lambda t, o: t.clear(),
+    "update": lambda t, o: t.update({KEY: -t[KEY]}),
+    "update_from_other": lambda t, o: t.update(o),
+    "setdefault": lambda t, o: (t.setdefault(KEY), t.setdefault(ABSENT, 0)),
+    "ior": lambda t, o: operator.ior(t, {ABSENT: 0}),
+    "block_edit": lambda t, o: t[KEY].__setitem__(..., 7.0),
+}
+
+
+@pytest.mark.parametrize("op", [*READS, *WRITES])
+def test_an_unread_table_is_a_dict(op):
+    call = READS.get(op) or WRITES[op]
+    subjects, other = _subjects()
+    outcomes = {name: _outcome(call, table, other) for name, table in subjects.items()}
+    assert outcomes["unread"] == outcomes["read"] == outcomes["plain"]
+    assert type(subjects["unread"]) is _Stacked  # read now, like the table read first
+
+
+@pytest.mark.parametrize("op", ["block_edit", "setitem"])
+def test_an_unread_table_keeps_or_drops_its_stacks_as_a_read_one(op):
+    subjects, other = _subjects()
+    for name in ("unread", "read"):
+        table = subjects[name]
+        WRITES[op](table, other)
+        assert (table.stacks is not None) == (op == "block_edit"), name
+    ring = make("su2_level", level=3).ring
+    assert _stacked_on(ring, subjects["unread"], "F") == (op == "block_edit")
+    if op == "block_edit":  # the edit is in the stacks, which readers read
+        edited = _flat(ring, subjects["unread"], "F")
+        assert np.array_equal(edited, _flat(ring, subjects["read"], "F"))
+
+
+def test_an_unread_table_keeps_its_key_order():
+    data = _stacked_data("su2_k7_shuffled")  # keys in file order, not in stack order
+    assert type(data.F) is _Unread
+    order = list(_stacked_data("su2_k7_shuffled").F)
+    gauged = gauge_transform(data, random_gauge(data.ring, 1))
+    copied = data.copy()
+    assert type(gauged.F) is type(copied.F) is _Unread
+    assert list(gauged.F) == list(copied.F) == list(data.F) == order != sorted(order)
+
+
+def test_a_report_reads_no_table_key_by_key():
+    for level in (3, 8):
+        data = make("su2_level", level=level)
+        gauged = gauge_transform(data, random_gauge(data.ring, 2))
+        run_report(gauged)
+        assert type(gauged.F) is _Unread and type(gauged.R) is _Unread
+        assert type(data.F) is _Unread and type(data.R) is _Unread
+
+
+def test_threads_read_one_unread_table():
+    data = make("su2_level", level=6)  # blocks of one shape: one stack
+    errors = []
+    for _ in range(5):
+        table = gauge_transform(data, random_gauge(data.ring, 4)).F
+        want = list(data.F)
+
+        def work():
+            try:
+                for _ in range(20):  # a lost or doubled fill would change the keys or blocks
+                    assert list(table) == want and len(table) == len(want)
+                    assert all(np.shares_memory(table[key], table.stacks[0]) for key in want)
+            except Exception as exc:  # reported below: an assertion in a thread fails nothing
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(6)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers) and not errors, errors
+        assert type(table) is _Stacked
