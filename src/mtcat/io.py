@@ -178,7 +178,7 @@ def _table_text(ring: FusionRing, table: dict, kind: str):
         between = np.broadcast_to(_SEPARATOR, (len(head), 5))
         text = np.concatenate([head, chars[:, 0], between, chars[:, 1]], axis=1)
         kept = np.concatenate([head != 0, keep[:, 0], between != 0, keep[:, 1]], axis=1)
-        del texts, chars, keep
+        del texts, chars, keep  # freed before the compress makes the text again
         yield str(text[kept].data, "ascii")
     yield tail
 
