@@ -375,8 +375,10 @@ def hexagon_residual(data: CategoryData, direction: str = "braid") -> tuple[floa
 # |sum lhs - sum rhs|.  Columns are named by one letter per label and three per
 # vertex ("cdq" is the basis vector of vertex (c,d,q)); factors that share a
 # vertex contract over it.  The tables depend only on the ring and are built
-# one leading label at a time, so cost and memory follow the instance count;
-# they are then cut into blocks of whole instances, evaluated one at a time.
+# one leading label at a time (a large pentagon label in runs of at most 2^16
+# instances), so cost and memory follow the instance count, and are stored in
+# the narrowest index type; they are then cut into blocks of whole instances,
+# evaluated one at a time.
 #
 # Every cache below is kept in the ring's plan, which the process-wide store
 # shares among all rings of equal content (names, dual, N: what ``==``
@@ -387,6 +389,7 @@ def hexagon_residual(data: CategoryData, direction: str = "braid") -> tuple[floa
 
 _PLAN_BUDGET = 64 << 20  # bytes kept for the plans that no live ring holds
 _BLOCK_TERMS = 1 << 14  # terms per table of a block: complex temporaries near 256 KB
+_CHUNK_INSTANCES = 1 << 16  # instances per built chunk of a large label: 16-bit indices
 _plans: dict = {}  # ring content -> _Plan
 _idle: dict = {}  # content -> bytes, of the plans no live ring holds, in release order
 _store_lock = threading.RLock()  # reentrant: a ring may be freed, and released, inside _plan
@@ -479,66 +482,108 @@ def _layout(ring: FusionRing) -> _Layout:
 def _coherence_tables(ring: FusionRing, identity: str) -> list:
     """The instance tables of one identity in blocks of whole instances: (witnesses, lhs, rhs)
     per block, in instance order; a term's instance counts from the first of its block."""
-    build = _pentagon_chunk if identity == "pentagon" else _hexagon_chunk
-    chunks = (build(ring.N, _layout(ring), a) for a in range(ring.size))
-    return _cached(ring, identity, lambda: _in_blocks(chunk for chunk in chunks if len(chunk[0])))
+    N, lay = ring.N, _layout(ring)
+    if identity == "pentagon":
+        chunks = (_pentagon_chunk(N, lay, a, rows) for a, rows in _pentagon_runs(N))
+    else:
+        chunks = (_hexagon_chunk(N, lay, a) for a in range(ring.size))
+    return _cached(ring, identity,
+                   lambda: _in_blocks((chunk for chunk in chunks if len(chunk[0])), lay.size))
 
 
-def _in_blocks(chunks) -> list:
-    """The tables of each leading label in blocks of whole instances, with about
-    _BLOCK_TERMS terms or fewer per table.
+def _pentagon_runs(N: np.ndarray):
+    """The chunks the pentagon tables are built in: (a, rows of the (b,c,d,w) grid).
+
+    A leading label is one chunk unless it has more than _CHUNK_INSTANCES
+    instances; then it is built in runs of consecutive (b,c) of at most that
+    many instances each (or of one (b,c), should that alone have more).
+    """
+    m = len(N)
+    for a, counts in enumerate(_pentagon_counts(N).tolist()):
+        start, total = 0, 0
+        for bc, count in enumerate(counts):
+            if total and total + count > _CHUNK_INSTANCES:
+                yield a, slice(start * m * m, bc * m * m)
+                start, total = bc, 0
+            total += count
+        yield a, slice(start * m * m, None)
+
+
+def _pentagon_counts(N: np.ndarray) -> np.ndarray:
+    """Pentagon instances per a and (b,c): the sum over d,w of X[a,b,c,d,w] Y[a,b,c,d,w],
+    X = sum_{q,p} N[c,d,q] N[b,q,p] N[a,p,w] and Y = sum_{r,s} N[a,b,r] N[r,c,s] N[s,d,w].
+
+    Pairwise products of float N, exact far below 2**53 instances.
+    """
+    m, n = len(N), N.astype(float)
+    x = np.matmul(np.matmul(n.reshape(1, m * m, m), n).reshape(1, -1, m), n)  # [a, bcd, w]
+    y = (n.reshape(m * m, m) @ n.reshape(m, -1)).reshape(-1, m) @ n.reshape(m, -1)  # [abc, dw]
+    counts = np.einsum("ij,ij->i", x.reshape(-1, m * m), y)
+    return np.rint(counts).astype(np.int64).reshape(m, m * m)
+
+
+def _in_blocks(chunks, size: int) -> list:
+    """The tables of each built chunk in blocks of whole instances, with about
+    _BLOCK_TERMS terms or fewer per table; ``size`` entries in the value array.
 
     A large table is cut into pieces that are views of it; the tables of
-    consecutive labels with at most _BLOCK_TERMS terms together are joined
+    consecutive chunks with at most _BLOCK_TERMS terms together are joined
     into one block.
     """
     blocks, pending, terms = [], [], 0
     for chunk in chunks:
-        size = chunk[1].shape[1] + chunk[2].shape[1]
-        if pending and terms + size > _BLOCK_TERMS:
-            blocks.append(_join(pending))
+        count = chunk[1].shape[1] + chunk[2].shape[1]
+        if pending and terms + count > _BLOCK_TERMS:
+            blocks.append(_join(pending, size))
             pending, terms = [], 0
         if max(chunk[1].shape[1], chunk[2].shape[1]) > _BLOCK_TERMS:
             blocks.extend(_pieces(chunk))
         else:
             pending.append(chunk)
-            terms += size
+            terms += count
     if pending:
-        blocks.append(_join(pending))
+        blocks.append(_join(pending, size))
     return blocks
 
 
 def _pieces(chunk: tuple):
-    """Views of the tables of one leading label, each of whole instances.
+    """Views of the tables of one chunk, each of whole instances.
 
     A piece starts at the instance of every _BLOCK_TERMS-th term of either
     table, so each table of a piece has fewer terms than that besides those
     of its first instance.  The instance row is rewritten in place to count
-    from the first instance of each piece.
+    from the first instance of each piece, in the table's own type.
     """
     witnesses, lhs, rhs = chunk
-    step = _BLOCK_TERMS
+    step, index = _BLOCK_TERMS, lhs.dtype.type
     starts = sorted({0, len(witnesses), *lhs[0, ::step].tolist(), *rhs[0, ::step].tolist()})
     l_at, r_at = (np.searchsorted(table[0], starts).tolist() for table in (lhs, rhs))
     for i, j, l0, l1, r0, r1 in zip(starts, starts[1:], l_at, l_at[1:], r_at, r_at[1:]):
-        lhs[0, l0:l1] -= i
-        rhs[0, r0:r1] -= i
+        lhs[0, l0:l1] -= index(i)
+        rhs[0, r0:r1] -= index(i)
         yield witnesses[i:j], lhs[:, l0:l1], rhs[:, r0:r1]
 
 
-def _join(chunks: list) -> tuple:
-    """One block of the tables of consecutive leading labels, copied together."""
+def _join(chunks: list, size: int) -> tuple:
+    """One block of the tables of consecutive chunks, copied together into the
+    index type of the block: its instances, and the ``size`` entries of the value array."""
     if len(chunks) == 1:
         return chunks[0]
     counts = [len(witnesses) for witnesses, _, _ in chunks]
     first = np.cumsum(counts) - counts
+    index = _index_type(size, sum(counts))
     out = [np.concatenate([witnesses for witnesses, _, _ in chunks])]
     for side in (1, 2):
         tables = [chunk[side] for chunk in chunks]
-        table = np.concatenate(tables, axis=1)
-        table[0] += np.repeat(first, [t.shape[1] for t in tables]).astype(np.int32)
+        table = np.concatenate(tables, axis=1, dtype=index, casting="safe")
+        table[0] += np.repeat(first, [t.shape[1] for t in tables]).astype(index)
         out.append(table)
     return tuple(out)
+
+
+def _index_type(*sizes: int) -> np.dtype:
+    """The narrowest unsigned type that holds an index below each of ``sizes``."""
+    return np.min_scalar_type(max(max(sizes) - 1, 0))
 
 
 class _Layout:
@@ -633,14 +678,14 @@ def _slots(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return channel.reshape(len(counts), -1), pos.reshape(len(counts), -1)
 
 
-def _pentagon_chunk(N: np.ndarray, lay: _Layout, a: int) -> tuple:
-    """Pentagon instances with leading label a.
+def _pentagon_chunk(N: np.ndarray, lay: _Layout, a: int, rows: slice) -> tuple:
+    """Pentagon instances with leading label a, on the ``rows`` of the (b,c,d,w) grid.
 
     lhs: F[a,b,q,w;p,r] F[r,c,d,w;q,s]; rhs: the sum over t of
     F[b,c,d,p;q,t] F[a,t,d,w;p,s] F[a,b,c,s;t,r].
     """
     out, mid, into = _channels(N)
-    t = _grid(N, a, "bcdw")
+    t = _grid(N, a, "bcdw", rows)
     t = _labels(t, "q", out(t["c"], t["d"]))
     t = _labels(t, "p", out(t["b"], t["q"]) & mid(t["a"], t["w"]))
     t = _labels(t, "r", out(t["a"], t["b"]))
@@ -651,8 +696,8 @@ def _pentagon_chunk(N: np.ndarray, lay: _Layout, a: int) -> tuple:
     rhs = _vectors(N, rhs, "bct", "tdp", "ats")
     return (
         np.stack([t[x] for x in "abcdwqprs"], axis=1),
-        _terms(lhs, t, lay.f(lhs, "abqwpr"), lay.f(lhs, "rcdwqs")),
-        _terms(rhs, t, lay.f(rhs, "bcdpqt"), lay.f(rhs, "atdwps"), lay.f(rhs, "abcstr")),
+        _terms(lay, lhs, t, lay.f(lhs, "abqwpr"), lay.f(lhs, "rcdwqs")),
+        _terms(lay, rhs, t, lay.f(rhs, "bcdpqt"), lay.f(rhs, "atdwps"), lay.f(rhs, "abcstr")),
     )
 
 
@@ -672,8 +717,8 @@ def _hexagon_chunk(N: np.ndarray, lay: _Layout, a: int) -> tuple:
     rhs = _vectors(N, _where(N, t, "acg", "baf"), "acg", "baf")
     return (
         np.stack([t[x] for x in "abcdgf"], axis=1),
-        _terms(lhs, t, lay.f(lhs, "bcadgh"), lay.r(lhs, "ahd"), lay.f(lhs, "abcdhf")),
-        _terms(rhs, t, lay.r(rhs, "acg"), lay.f(rhs, "bacdgf"), lay.r(rhs, "abf")),
+        _terms(lay, lhs, t, lay.f(lhs, "bcadgh"), lay.r(lhs, "ahd"), lay.f(lhs, "abcdhf")),
+        _terms(lay, rhs, t, lay.r(rhs, "acg"), lay.f(rhs, "bacdgf"), lay.r(rhs, "abf")),
     )
 
 
@@ -705,10 +750,11 @@ class _Table:
         return row if up is None else up if row is None else np.take(up, row)
 
 
-def _grid(N: np.ndarray, a: int, labels: str) -> _Table:
-    """Label a followed by every tuple of the named labels, in lexicographic order."""
+def _grid(N: np.ndarray, a: int, labels: str, rows: slice = slice(None)) -> _Table:
+    """Label a followed by the ``rows`` of every tuple of the named labels, in
+    lexicographic order."""
     small = np.min_scalar_type(len(N))
-    grid = np.indices((len(N),) * len(labels), dtype=small).reshape(len(labels), -1)
+    grid = np.indices((len(N),) * len(labels), dtype=small).reshape(len(labels), -1)[:, rows]
     return _Table(dict(zip(labels, grid), a=np.full(grid.shape[1], a, dtype=small)))
 
 
@@ -763,11 +809,13 @@ def _small(col: np.ndarray) -> np.ndarray:
     return col.astype(np.min_scalar_type(col.max(initial=0)))
 
 
-def _terms(t: _Table, instances: _Table, *offsets: np.ndarray) -> np.ndarray:
-    """Rows: the instance of each term, then one value offset per factor."""
+def _terms(lay: _Layout, t: _Table, instances: _Table, *offsets: np.ndarray) -> np.ndarray:
+    """Rows: the instance of each term, then one value offset per factor, written straight
+    into the index type of the chunk: its instances and the entries of the value array."""
     instance = t.rows_in(instances)
     instance = np.arange(len(t["a"])) if instance is None else instance
-    return np.stack([instance, *offsets], dtype=np.int32, casting="same_kind")
+    index = _index_type(lay.size, len(instances["a"]))
+    return np.stack([instance, *offsets], dtype=index, casting="unsafe")  # every value fits
 
 
 def _f_values(data: CategoryData) -> np.ndarray:

@@ -54,7 +54,7 @@ def random_rep_a4_data(seed):
     """Random complex blocks of the admissible shapes over the Rep(A4) ring.
 
     They are not coherent; coherent data with N > 1 needs a Rep(G) catalog
-    family (ROADMAP item 4).
+    family (ROADMAP item 1, `rep_group`).
     """
     ring = rep_a4_ring()
     assert validate_ring(ring).ok and ring.N.max() == 2

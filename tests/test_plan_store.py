@@ -30,9 +30,9 @@ def pentagon_builds(monkeypatch):
     """The leading labels for which a pentagon table has been built, in build order."""
     built, build = [], category_data._pentagon_chunk
 
-    def counting(N, lay, a):
+    def counting(N, lay, a, rows):
         built.append(a)
-        return build(N, lay, a)
+        return build(N, lay, a, rows)
 
     monkeypatch.setattr(category_data, "_pentagon_chunk", counting)
     return built
@@ -266,3 +266,116 @@ def test_instances_with_more_terms_than_a_block(catalog, empty_store, monkeypatc
         assert np.count_nonzero(lhs[0]) <= block_terms and np.count_nonzero(rhs[0]) <= block_terms
     if block_terms == 1:  # every instance has a term: one instance per block
         assert all(len(w) == 1 for w, _, _ in blocks)
+
+
+# --- index types, and chunks of at most _CHUNK_INSTANCES instances ------------
+
+
+def _su2_ring(k):
+    """The fusion ring of su(2)_k on labels 2j = 0..k, at any level: only its instance tables
+    are read."""
+    a, b, c = np.indices((k + 1,) * 3)
+    N = (abs(a - b) <= c) & (c <= np.minimum(a + b, 2 * k - a - b)) & ((a + b + c) % 2 == 0)
+    return FusionRing([str(x) for x in range(k + 1)], range(k + 1), N)
+
+
+def _narrow(chunk, size):
+    """A table of ``reference_coherence`` in the index type the package gives it."""
+    witnesses, lhs, rhs = chunk
+    index = category_data._index_type(size, len(witnesses))
+    return witnesses, lhs.astype(index), rhs.astype(index)
+
+
+def _assert_same_rows(blocks, chunks):
+    for got, want in zip(reference.concatenated(blocks), reference.concatenated(chunks)):
+        assert np.array_equal(got, want)
+
+
+def _assert_same_sums(blocks, chunks, vals):
+    got = np.concatenate([category_data._residuals(vals, block) for block in blocks])
+    want = np.concatenate([reference.residuals(vals, chunk) for chunk in chunks])
+    assert got.tobytes() == want.tobytes()
+    assert repr(category_data._worst_instance(blocks, vals)) == repr(
+        reference.worst_instance(chunks, vals))
+
+
+def test_index_type_holds_every_index():
+    index = category_data._index_type
+    assert index(1) == index(256) == np.uint8 and index(257) == np.uint16
+    assert index(1 << 16) == index(300, 1 << 16) == np.uint16
+    assert index((1 << 16) + 1) == index(300, (1 << 16) + 1) == np.uint32
+
+
+def test_join_past_2_16_instances_gets_the_wider_type(catalog):
+    data = bump_one_f_and_one_r(catalog["su2_k4"])
+    size = category_data._layout(data.ring).size
+    chunks = reference.unblocked_tables(data.ring, "pentagon") * 19  # 19 * 3611 instances
+    assert sum(len(w) for w, _, _ in chunks) > 1 << 16
+    narrow = [_narrow(chunk, size) for chunk in chunks]
+    assert {lhs.dtype for _, lhs, _ in narrow} == {np.dtype(np.uint16)}
+    block = category_data._join(narrow, size)
+    assert block[1].dtype == block[2].dtype == np.uint32
+    _assert_same_rows([block], chunks)
+    _assert_same_sums([block], chunks, _f_values(data))
+
+
+def test_offsets_past_2_16_get_the_wider_type(empty_store):
+    ring = _su2_ring(14)
+    lay = category_data._layout(ring)
+    assert lay.f_size > 1 << 16  # every R offset is past 2**16
+    blocks = _coherence_tables(ring, "hexagon")
+    assert {(lhs.dtype, rhs.dtype) for _, lhs, rhs in blocks} == {(np.dtype(np.uint32),) * 2}
+    chunks = reference.unblocked_tables(ring, "hexagon")
+    _assert_same_rows(blocks, chunks)
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal(lay.size) + 1j * rng.standard_normal(lay.size)
+    _assert_same_sums(blocks, chunks, vals)
+
+
+def test_a_label_past_2_16_instances_is_built_in_16_bit_chunks():
+    ring = _su2_ring(9)
+    N, lay = ring.N, category_data._layout(ring)
+    counts = category_data._pentagon_counts(N).sum(axis=1)
+    a = int(np.argmax(counts))
+    assert counts[a] > 1 << 16 and lay.size < 1 << 16
+    whole = category_data._pentagon_chunk(N, lay, a, slice(None))
+    want = reference.pentagon_tables(N, lay, a)
+    assert len(whole[0]) == counts[a] and whole[1].dtype == np.uint32
+    _assert_same_rows([whole], [want])
+    runs = [rows for label, rows in category_data._pentagon_runs(N) if label == a]
+    chunks = [category_data._pentagon_chunk(N, lay, a, rows) for rows in runs]
+    assert len(chunks) > 1 and all(len(w) <= 1 << 16 for w, _, _ in chunks)
+    assert all(lhs.dtype == rhs.dtype == np.uint16 for _, lhs, rhs in chunks)
+    _assert_same_rows(chunks, [want])
+
+
+@pytest.mark.parametrize("name", BLOCK_DATA)
+def test_chunks_of_few_instances_match_the_unblocked_oracle(catalog, empty_store, monkeypatch,
+                                                            name):
+    bound, sizes, build = 64, [], category_data._pentagon_chunk
+
+    def recording(N, lay, a, rows):
+        chunk = build(N, lay, a, rows)
+        sizes.append(len(chunk[0]))
+        return chunk
+
+    monkeypatch.setattr(category_data, "_CHUNK_INSTANCES", bound)
+    monkeypatch.setattr(category_data, "_pentagon_chunk", recording)
+    variants = _variants(catalog, name)
+    base = variants["plain"].ring
+    ring = FusionRing(base.names, base.dual, base.N)  # a new plan, built in chunks
+    blocks = _coherence_tables(ring, "pentagon")
+    _assert_same_rows(blocks, reference.unblocked_tables(ring, "pentagon"))
+    counts = category_data._pentagon_counts(ring.N)
+    assert len(sizes) > ring.size or counts.sum(axis=1).max() <= bound
+    assert all(size <= bound or size in counts for size in sizes)  # or a single (a, b, c)
+    for data in (variants["plain"], variants["bumped"]):
+        _assert_blocks_match_oracle(CategoryData(ring=ring, F=data.F, R=data.R))
+
+
+def test_su2_k8_pentagon_plan_is_16_bit_and_one_chunk_per_label(empty_store, pentagon_builds):
+    ring = make("su2_level", level=8).ring
+    blocks = _coherence_tables(ring, "pentagon")
+    assert pentagon_builds == list(range(ring.size))  # no label has more than 2**16 instances
+    assert {(lhs.dtype, rhs.dtype) for _, lhs, rhs in blocks} == {(np.dtype(np.uint16),) * 2}
+    assert _plan(ring)["pentagon"][1] <= 9.0e6  # int32 tables: 14.61 MB
