@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-import operator
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -837,44 +836,14 @@ def _with_r(data: CategoryData, f: np.ndarray, direction: str) -> np.ndarray:
 
 
 def _flat(ring: FusionRing, table: dict, kind: str, invert: bool = False) -> np.ndarray:
-    """The entries of an F or R table in ``_Layout`` order (R counted from its first); with
-    ``invert``, R[x,y,z] is the inverse of R[y,x,z].  A stacked table is read from its stacks,
-    any other gathered key by key: a missing key raises IncompleteData, as ``f_block`` does."""
-    if _stacked_on(ring, table, kind):
-        stacks = list(map(_inverse, table.stacks)) if invert else table.stacks
-        order = table.stacking.inverse_order if invert else table.stacking.order
-        flat = np.concatenate([stack.ravel() for stack in stacks])
-        flat = flat if order is None else np.take(flat, order)
-    else:
-        keys = _stacking(ring, kind).admissible
-        if invert:
-            keys = [(y, x, z) for x, y, z in keys]
-        try:
-            blocks = list(map(table.__getitem__, keys))
-        except KeyError as exc:
-            raise IncompleteData(exc.args[0], kind=kind) from None
-        _check_shapes(ring, kind, keys, map(_shape, blocks))
-        blocks = _inverses(blocks) if invert else blocks
-        flat = np.concatenate([block.ravel() for block in blocks])
+    """The entries of an F or R table in ``_Layout`` order (R counted from its first), read from
+    its stacks (``_table_stacks``); with ``invert``, R[x,y,z] is the inverse of R[y,x,z]."""
+    stacks, stacking = _table_stacks(ring, table, kind), _stacking(ring, kind)
+    stacks = list(map(_inverse, stacks)) if invert else stacks
+    order = stacking.inverse_order if invert else stacking.order
+    flat = np.concatenate([stack.ravel() for stack in stacks])
+    flat = flat if order is None else np.take(flat, order)
     return flat.astype(complex, copy=False)
-
-
-def _check_shapes(ring: FusionRing, kind: str, keys, shapes):
-    """InputError when the block of an admissible key does not have its admissible shape."""
-    stacking = _stacking(ring, kind)
-    want = dict(zip(stacking.admissible, stacking.shapes))  # not cached: _nbytes would walk it
-    if any(want.get(key, shape) != shape for key, shape in zip(keys, shapes)):
-        raise InputError("F/R blocks do not have their admissible shapes")
-
-
-def _inverses(blocks: list) -> list:
-    """The inverse of every block, one ``inv`` per shape; all NaN when there is none."""
-    out = list(blocks)
-    for shape in {block.shape for block in blocks}:
-        pick = [i for i, block in enumerate(blocks) if block.shape == shape]
-        for i, inverse in zip(pick, _inverse(np.stack([blocks[i] for i in pick]))):
-            out[i] = inverse
-    return out
 
 
 def _inverse(stack: np.ndarray) -> np.ndarray:
@@ -1058,7 +1027,7 @@ def gauge_transform(data: CategoryData, gauge: GaugeTransform) -> CategoryData:
         eye = np.eye(n, dtype=complex)
         g[n] = np.array([eye if given[i] is None else given[i] for i in pick], dtype=complex)
         gi[n] = np.linalg.inv(g[n])  # each vertex inverted once
-    f_stacks, r_stacks = (zip(_table_stacks(ring, table, kind), _stacking(ring, kind).groups)
+    f_stacks, r_stacks = (zip(_whole_stacks(ring, table, kind), _stacking(ring, kind).groups)
                           for kind, table in (("F", data.F), ("R", data.R)))
     F = [
         np.einsum("xij,xkl,xjlmn,xmo,xnp->xikop", g[n1][s1], g[n2][s2], x, gi[n3][s3], gi[n4][s4])
@@ -1220,14 +1189,27 @@ def _stacked(ring: FusionRing, kind: str, order, stacks: list) -> _Stacked:
 
 
 def _table_stacks(ring: FusionRing, table: dict, kind: str) -> list:
-    """The stacks of an F or R table; any other than a stacked one must have every key, of its
-    shape, and no other (IncompleteData, InputError)."""
+    """The stacks of an F or R table: a stacked table's own; any other's gathered from its
+    admissible keys, any other key ignored.  The first missing key in admissible order raises
+    IncompleteData, as ``f_block`` does; a block of the wrong shape raises InputError."""
     if _stacked_on(ring, table, kind):
         return table.stacks
-    flat, stacking = _flat(ring, table, kind), _stacking(ring, kind)  # every key, of its shape
-    if len(table) != len(stacking.shapes):
+    stacking = _stacking(ring, kind)
+    try:
+        blocks = list(map(table.__getitem__, stacking.admissible))
+    except KeyError as exc:
+        raise IncompleteData(exc.args[0], kind=kind) from None
+    if [block.shape for block in blocks] != stacking.shapes:
         raise InputError("F/R blocks do not have their admissible shapes")
-    return [np.take(flat, offsets).reshape(-1, *shape) for shape, _, offsets, _ in stacking.groups]
+    return [np.stack([blocks[i] for i in at.tolist()]) for _, _, _, at in stacking.groups]
+
+
+def _whole_stacks(ring: FusionRing, table: dict, kind: str) -> list:
+    """The stacks of an F or R table that has every admissible key and no other (InputError)."""
+    stacks = _table_stacks(ring, table, kind)
+    if not _stacked_on(ring, table, kind) and len(table) != len(_stacking(ring, kind).shapes):
+        raise InputError("F/R blocks do not have their admissible shapes")
+    return stacks
 
 
 def _copied(ring: FusionRing, table: dict, kind: str) -> dict:
@@ -1235,9 +1217,6 @@ def _copied(ring: FusionRing, table: dict, kind: str) -> dict:
     if _stacked_on(ring, table, kind):
         return _stacked(ring, kind, table, [stack.copy() for stack in table.stacks])
     return {key: block.copy() for key, block in table.items()}
-
-
-_shape = operator.attrgetter("shape")
 
 
 def coherence_summary(data: CategoryData) -> dict:

@@ -37,11 +37,9 @@ from .category_data import (
     _BLOCK_VERTICES,
     CategoryData,
     _cached,
-    _check_shapes,
     _flat,
     _inverse_unit_checks,
     _ring_ok,
-    _shape,
     _stacked,
     _stacked_on,
     _stacking,
@@ -67,7 +65,7 @@ _SEPARATOR = np.frombuffer(b",\n   ", dtype=np.uint8)  # of a row's re and im
 def category_to_dict(data: CategoryData) -> dict:
     doc = {**_data_fields(data), **_ring_fields(data.ring)}
     for name, table in (("f_symbols", data.F), ("r_symbols", data.R)):
-        doc[name] = [[*key, *mult, re, im] for key, mult, re, im in zip(*_symbol_entries(table))]
+        doc[name] = _symbol_rows(table)
     return doc
 
 
@@ -118,8 +116,8 @@ def _data_fields(data: CategoryData) -> dict:
     return doc
 
 
-def _symbol_entries(table: dict) -> tuple[list, list, list, list]:
-    """The rows of an F or R table as four columns: key, 1-based multiplicity indices, re, im.
+def _symbol_rows(table: dict) -> list:
+    """The rows of an F or R table: key, 1-based multiplicity indices, re, im.
 
     Keys are sorted and each block is read in C order, which is the row order
     of a file.
@@ -133,37 +131,37 @@ def _symbol_entries(table: dict) -> tuple[list, list, list, list]:
     per_block = [indices[shape] for shape in shapes]
     flat = [block.ravel() for block in blocks]
     values = np.concatenate(flat, dtype=complex) if flat else np.empty(0, complex)
-    return (
-        list(itertools.chain.from_iterable(map(itertools.repeat, keys, map(len, per_block)))),
-        list(itertools.chain.from_iterable(per_block)),
+    columns = (
+        itertools.chain.from_iterable(map(itertools.repeat, keys, map(len, per_block))),
+        itertools.chain.from_iterable(per_block),
         values.real.tolist(),
         values.imag.tolist(),
     )
+    return [[*key, *mult, re, im] for key, mult, re, im in zip(*columns)]
 
 
 def _table_text(ring: FusionRing, table: dict, kind: str):
     """A symbol table as ``json.dumps`` writes it one level deep with ``indent=1``, in parts
     made as they are read.
 
-    Everything in a row but its two floats depends only on the keys and the
-    block shapes: a template, kept in the ring's plan for a stacked table,
-    whose rows (every admissible key) are in ``_Layout`` order.  A table of
-    ``_KERNEL_FLOATS`` floats or more has its floats written by the array
-    kernel, ``_ROWS`` rows at a time; a smaller one by ``repr``, one by one.
+    A table of exactly the admissible keys is written through a row template,
+    kept in the ring's plan: everything in a row but its two floats, rows in
+    ``_Layout`` order.  Its floats are written by the array kernel, ``_ROWS``
+    rows at a time, when there are ``_KERNEL_FLOATS`` or more; else by
+    ``repr``, one by one.  Any other table, its admissible blocks of their
+    shapes (else InputError), is written by the json encoder.
     """
-    if _stacked_on(ring, table, kind):
-        keys, shapes = _stacking(ring, kind).admissible, _stacking(ring, kind).shapes
-        values = _flat(ring, table, kind).view(float)  # re, im of every entry
-        split = values.size >= _KERNEL_FLOATS
-        template = _cached(ring, f"{kind} rows", lambda: _row_template(keys, shapes, split))
-    else:
-        keys = sorted(table)
-        blocks = list(map(table.__getitem__, keys))
-        shapes = list(map(_shape, blocks))
-        _check_shapes(ring, kind, keys, shapes)
-        values = np.concatenate([np.empty(0), *(block.ravel() for block in blocks)], dtype=complex)
-        values = values.view(float)
-        template = _row_template(keys, shapes, values.size >= _KERNEL_FLOATS)
+    stacking = _stacking(ring, kind)
+    keys, shapes = stacking.admissible, stacking.shapes
+    if not (_stacked_on(ring, table, kind)
+            or (len(table) == len(keys) and all(map(table.__contains__, keys)))):
+        if [table[k].shape if k in table else s for k, s in zip(keys, shapes)] != shapes:
+            raise InputError("F/R blocks do not have their admissible shapes")
+        yield _field_texts({kind: _symbol_rows(table)})[kind]
+        return
+    values = _flat(ring, table, kind).view(float)  # re, im of every entry
+    split = values.size >= _KERNEL_FLOATS
+    template = _cached(ring, f"{kind} rows", lambda: _row_template(keys, shapes, split))
     if isinstance(template, str):
         texts = values.tolist()
         for i in np.flatnonzero(~np.isfinite(values)).tolist():
@@ -183,13 +181,11 @@ def _table_text(ring: FusionRing, table: dict, kind: str):
     yield tail
 
 
-def _row_template(keys: list, shapes: list, split: bool = False):
+def _row_template(keys: list, shapes: list, split: bool):
     """The text of a table of the sorted ``keys`` with blocks of ``shapes``, with ``%s`` in
     place of every real and imaginary part; ``split``, as the text of each row before its
     two parts, right-aligned and padded with NUL in a uint8 array, and the text after the
     last row."""
-    if not keys:
-        return "[]"
     key_row = ",\n   ".join(["%s"] * len(keys[0]))
     mult_texts = {  # the 1-based multiplicity indices of every entry, once per shape
         shape: [",\n   ".join(str(i + 1) for i in idx) for idx in np.ndindex(shape)]

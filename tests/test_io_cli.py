@@ -132,10 +132,14 @@ def test_dumps_row_template_follows_the_layout(catalog, name):
     reshaped.F[f_key] = reshaped.F[f_key].reshape(-1, *reshaped.F[f_key].shape[2:])
     reordered = a.copy()
     reordered.F = dict(reversed(reordered.F.items()))
+    extra = a.copy()  # a key outside the label range: written by the json encoder
+    extra.F[(a.ring.size,) * 6] = a.F[f_key].copy()
+    torn = reshaped.copy()  # and a key missing: the shapes are checked all the same
+    del torn.F[sorted(a.F)[len(a.F) // 2 + 1]]
     first = dumps(a)
     assert first == _canonical(a)
-    for data in (missing, a, reshaped, a, reordered, a):
-        if data is reshaped:
+    for data in (missing, a, reshaped, a, reordered, a, extra, a, torn, a):
+        if data is reshaped or data is torn:
             with pytest.raises(InputError, match="admissible shapes"):
                 dumps(data)
         else:
