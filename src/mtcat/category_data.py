@@ -373,11 +373,11 @@ def hexagon_residual(data: CategoryData, direction: str = "braid") -> tuple[floa
 # array, summed into its instance, and the residual of an instance is
 # |sum lhs - sum rhs|.  Columns are named by one letter per label and three per
 # vertex ("cdq" is the basis vector of vertex (c,d,q)); factors that share a
-# vertex contract over it.  The tables depend only on the ring and are built
-# one leading label at a time (a large pentagon label in runs of at most 2^16
-# instances), so cost and memory follow the instance count, and are stored in
-# the narrowest index type; they are then cut into blocks of whole instances,
-# evaluated one at a time.
+# vertex contract over it.  The tables depend only on the ring.  They are built
+# and evaluated in blocks: runs of consecutive (a,b,c,d) cells of the label grid
+# with at most _BLOCK_INSTANCES instances besides those of their first cell, cut
+# from the exact count of every cell, so cost and memory follow the instance
+# count; each block is stored in the narrowest index type.
 #
 # Every cache below is kept in the ring's plan, which the process-wide store
 # shares among all rings of equal content (names, dual, N: what ``==``
@@ -387,8 +387,7 @@ def hexagon_residual(data: CategoryData, direction: str = "braid") -> tuple[floa
 # plans together hold at most _PLAN_BUDGET bytes of arrays and text.
 
 _PLAN_BUDGET = 64 << 20  # bytes kept for the plans that no live ring holds
-_BLOCK_TERMS = 1 << 14  # terms per table of a block: complex temporaries near 256 KB
-_CHUNK_INSTANCES = 1 << 16  # instances per built chunk of a large label: 16-bit indices
+_BLOCK_INSTANCES = 6144  # instances per block besides its first cell's: small temporaries
 _plans: dict = {}  # ring content -> _Plan
 _idle: dict = {}  # content -> bytes, of the plans no live ring holds, in release order
 _store_lock = threading.RLock()  # reentrant: a ring may be freed, and released, inside _plan
@@ -483,33 +482,27 @@ def _coherence_tables(ring: FusionRing, identity: str) -> list:
     per block, in instance order; a term's instance counts from the first of its block."""
     N, lay = ring.N, _layout(ring)
     if identity == "pentagon":
-        chunks = (_pentagon_chunk(N, lay, a, rows) for a, rows in _pentagon_runs(N))
+        build, counts = _pentagon_block, _pentagon_counts
     else:
-        chunks = (_hexagon_chunk(N, lay, a) for a in range(ring.size))
-    return _cached(ring, identity,
-                   lambda: _in_blocks((chunk for chunk in chunks if len(chunk[0])), lay.size))
+        build, counts = _hexagon_block, _hexagon_counts
+    return _cached(ring, identity, lambda: [build(N, lay, cells) for cells in _runs(counts(N))])
 
 
-def _pentagon_runs(N: np.ndarray):
-    """The chunks the pentagon tables are built in: (a, rows of the (b,c,d,w) grid).
+def _runs(counts: np.ndarray) -> list[slice]:
+    """The blocks as runs of consecutive cells, given the instances of each cell.
 
-    A leading label is one chunk unless it has more than _CHUNK_INSTANCES
-    instances; then it is built in runs of consecutive (b,c) of at most that
-    many instances each (or of one (b,c), should that alone have more).
+    A run is the cells whose running totals have one quotient by _BLOCK_INSTANCES + 1,
+    so it holds at most _BLOCK_INSTANCES instances besides its first cell's; a cell of
+    more is a run alone.  A run without instances is left out.
     """
-    m = len(N)
-    for a, counts in enumerate(_pentagon_counts(N).tolist()):
-        start, total = 0, 0
-        for bc, count in enumerate(counts):
-            if total and total + count > _CHUNK_INSTANCES:
-                yield a, slice(start * m * m, bc * m * m)
-                start, total = bc, 0
-            total += count
-        yield a, slice(start * m * m, None)
+    total = np.cumsum(counts)
+    run = total // (_BLOCK_INSTANCES + 1)
+    cuts = [0, *(np.flatnonzero(run[1:] != run[:-1]) + 1).tolist(), len(counts)]
+    return [slice(i, j) for i, j in zip(cuts, cuts[1:]) if total[j - 1] > total[i] - counts[i]]
 
 
 def _pentagon_counts(N: np.ndarray) -> np.ndarray:
-    """Pentagon instances per a and (b,c): the sum over d,w of X[a,b,c,d,w] Y[a,b,c,d,w],
+    """Pentagon instances per raveled (a,b,c,d): the sum over w of X[a,b,c,d,w] Y[a,b,c,d,w],
     X = sum_{q,p} N[c,d,q] N[b,q,p] N[a,p,w] and Y = sum_{r,s} N[a,b,r] N[r,c,s] N[s,d,w].
 
     Pairwise products of float N, exact far below 2**53 instances.
@@ -517,67 +510,16 @@ def _pentagon_counts(N: np.ndarray) -> np.ndarray:
     m, n = len(N), N.astype(float)
     x = np.matmul(np.matmul(n.reshape(1, m * m, m), n).reshape(1, -1, m), n)  # [a, bcd, w]
     y = (n.reshape(m * m, m) @ n.reshape(m, -1)).reshape(-1, m) @ n.reshape(m, -1)  # [abc, dw]
-    counts = np.einsum("ij,ij->i", x.reshape(-1, m * m), y)
-    return np.rint(counts).astype(np.int64).reshape(m, m * m)
+    return np.rint(np.einsum("ij,ij->i", x.reshape(-1, m), y.reshape(-1, m))).astype(np.int64)
 
 
-def _in_blocks(chunks, size: int) -> list:
-    """The tables of each built chunk in blocks of whole instances, with about
-    _BLOCK_TERMS terms or fewer per table; ``size`` entries in the value array.
-
-    A large table is cut into pieces that are views of it; the tables of
-    consecutive chunks with at most _BLOCK_TERMS terms together are joined
-    into one block.
-    """
-    blocks, pending, terms = [], [], 0
-    for chunk in chunks:
-        count = chunk[1].shape[1] + chunk[2].shape[1]
-        if pending and terms + count > _BLOCK_TERMS:
-            blocks.append(_join(pending, size))
-            pending, terms = [], 0
-        if max(chunk[1].shape[1], chunk[2].shape[1]) > _BLOCK_TERMS:
-            blocks.extend(_pieces(chunk))
-        else:
-            pending.append(chunk)
-            terms += count
-    if pending:
-        blocks.append(_join(pending, size))
-    return blocks
-
-
-def _pieces(chunk: tuple):
-    """Views of the tables of one chunk, each of whole instances.
-
-    A piece starts at the instance of every _BLOCK_TERMS-th term of either
-    table, so each table of a piece has fewer terms than that besides those
-    of its first instance.  The instance row is rewritten in place to count
-    from the first instance of each piece, in the table's own type.
-    """
-    witnesses, lhs, rhs = chunk
-    step, index = _BLOCK_TERMS, lhs.dtype.type
-    starts = sorted({0, len(witnesses), *lhs[0, ::step].tolist(), *rhs[0, ::step].tolist()})
-    l_at, r_at = (np.searchsorted(table[0], starts).tolist() for table in (lhs, rhs))
-    for i, j, l0, l1, r0, r1 in zip(starts, starts[1:], l_at, l_at[1:], r_at, r_at[1:]):
-        lhs[0, l0:l1] -= index(i)
-        rhs[0, r0:r1] -= index(i)
-        yield witnesses[i:j], lhs[:, l0:l1], rhs[:, r0:r1]
-
-
-def _join(chunks: list, size: int) -> tuple:
-    """One block of the tables of consecutive chunks, copied together into the
-    index type of the block: its instances, and the ``size`` entries of the value array."""
-    if len(chunks) == 1:
-        return chunks[0]
-    counts = [len(witnesses) for witnesses, _, _ in chunks]
-    first = np.cumsum(counts) - counts
-    index = _index_type(size, sum(counts))
-    out = [np.concatenate([witnesses for witnesses, _, _ in chunks])]
-    for side in (1, 2):
-        tables = [chunk[side] for chunk in chunks]
-        table = np.concatenate(tables, axis=1, dtype=index, casting="safe")
-        table[0] += np.repeat(first, [t.shape[1] for t in tables]).astype(index)
-        out.append(table)
-    return tuple(out)
+def _hexagon_counts(N: np.ndarray) -> np.ndarray:
+    """Hexagon instances per raveled (a,b,c,d): sum_g N[c,a,g] N[b,g,d] times
+    sum_f N[a,b,f] N[f,c,d]."""
+    m, n = len(N), N.astype(np.int64)
+    g = np.einsum("cag,bgd->abcd", n, n)
+    f = np.einsum("abf,fcd->abcd", n, n)
+    return (g * f).reshape(m**4)
 
 
 def _index_type(*sizes: int) -> np.dtype:
@@ -677,14 +619,14 @@ def _slots(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return channel.reshape(len(counts), -1), pos.reshape(len(counts), -1)
 
 
-def _pentagon_chunk(N: np.ndarray, lay: _Layout, a: int, rows: slice) -> tuple:
-    """Pentagon instances with leading label a, on the ``rows`` of the (b,c,d,w) grid.
+def _pentagon_block(N: np.ndarray, lay: _Layout, cells: slice) -> tuple:
+    """Pentagon instances on the ``cells`` of the (a,b,c,d) grid.
 
     lhs: F[a,b,q,w;p,r] F[r,c,d,w;q,s]; rhs: the sum over t of
     F[b,c,d,p;q,t] F[a,t,d,w;p,s] F[a,b,c,s;t,r].
     """
     out, mid, into = _channels(N)
-    t = _grid(N, a, "bcdw", rows)
+    t = _grid(N, "abcdw", slice(cells.start * len(N), cells.stop * len(N)))
     t = _labels(t, "q", out(t["c"], t["d"]))
     t = _labels(t, "p", out(t["b"], t["q"]) & mid(t["a"], t["w"]))
     t = _labels(t, "r", out(t["a"], t["b"]))
@@ -700,14 +642,14 @@ def _pentagon_chunk(N: np.ndarray, lay: _Layout, a: int, rows: slice) -> tuple:
     )
 
 
-def _hexagon_chunk(N: np.ndarray, lay: _Layout, a: int) -> tuple:
-    """Hexagon instances with leading label a.
+def _hexagon_block(N: np.ndarray, lay: _Layout, cells: slice) -> tuple:
+    """Hexagon instances on the ``cells`` of the (a,b,c,d) grid.
 
     lhs: the sum over h of F[b,c,a,d;g,h] R[a,h,d] F[a,b,c,d;h,f];
     rhs: R[a,c,g] F[b,a,c,d;g,f] R[a,b,f].
     """
     out, mid, into = _channels(N)
-    t = _grid(N, a, "bcd")
+    t = _grid(N, "abcd", cells)
     t = _labels(t, "g", out(t["c"], t["a"]) & mid(t["b"], t["d"]))
     t = _labels(t, "f", out(t["a"], t["b"]) & into(t["c"], t["d"]))
     t = _vectors(N, t, "cag", "bgd", "abf", "fcd")
@@ -727,10 +669,11 @@ class _Table:
     A step holds its new columns and ``row``, the parent row behind each of its
     rows (None: the parent's rows).  A column of an earlier step is gathered
     through the composed parent rows when first read; a 0-d column is one value.
+    The rows behind a step are composed once per earlier step.
     """
 
     def __init__(self, cols: dict, parent: "_Table | None" = None, row=None):
-        self.cols, self.parent, self.row = cols, parent, row
+        self.cols, self.parent, self.row, self.up = cols, parent, row, {}
 
     def __getitem__(self, name: str) -> np.ndarray:
         if name not in self.cols:
@@ -745,16 +688,17 @@ class _Table:
         """The row of ``owner`` behind each row here; None when the rows are the same."""
         if owner is self:
             return None
-        up, row = self.parent.rows_in(owner), self.row
-        return row if up is None else up if row is None else np.take(up, row)
+        if owner not in self.up:
+            up, row = self.parent.rows_in(owner), self.row
+            self.up[owner] = row if up is None else up if row is None else np.take(up, row)
+        return self.up[owner]
 
 
-def _grid(N: np.ndarray, a: int, labels: str, rows: slice = slice(None)) -> _Table:
-    """Label a followed by the ``rows`` of every tuple of the named labels, in
-    lexicographic order."""
+def _grid(N: np.ndarray, labels: str, rows: slice) -> _Table:
+    """The ``rows`` of the tuples of the named labels, in lexicographic order."""
+    grid = np.unravel_index(np.arange(rows.start, rows.stop), (len(N),) * len(labels))
     small = np.min_scalar_type(len(N))
-    grid = np.indices((len(N),) * len(labels), dtype=small).reshape(len(labels), -1)[:, rows]
-    return _Table(dict(zip(labels, grid), a=np.full(grid.shape[1], a, dtype=small)))
+    return _Table({label: col.astype(small) for label, col in zip(labels, grid)})
 
 
 def _labels(t: _Table, name: str, allowed: np.ndarray) -> _Table:
@@ -810,7 +754,7 @@ def _small(col: np.ndarray) -> np.ndarray:
 
 def _terms(lay: _Layout, t: _Table, instances: _Table, *offsets: np.ndarray) -> np.ndarray:
     """Rows: the instance of each term, then one value offset per factor, written straight
-    into the index type of the chunk: its instances and the entries of the value array."""
+    into the index type of the block: its instances and the entries of the value array."""
     instance = t.rows_in(instances)
     instance = np.arange(len(t["a"])) if instance is None else instance
     index = _index_type(lay.size, len(instances["a"]))

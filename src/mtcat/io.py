@@ -525,9 +525,9 @@ def _raise_row_error(where: str, row, ring: FusionRing, duplicate: bool):
 def run_report(data: CategoryData, checks=None, tolerance: float = 1e-9) -> dict:
     """Run ``check_modular`` once and format its result as the report document.
 
-    ``checks`` defaults to all of them.  Pass/fail per check uses
-    ``tolerance``; the overall verdict always comes from the full pipeline
-    with its own pinned thresholds (coherence 1e-7, determinant 1e-8
+    ``checks`` defaults to all of them; a string names one.  Pass/fail per
+    check uses ``tolerance``; the overall verdict always comes from the full
+    pipeline with its own pinned thresholds (coherence 1e-7, determinant 1e-8
     relative), so the verdict is stable under tolerance tweaks.  Non-finite
     numbers are written as ``null``.
     """
@@ -537,7 +537,7 @@ def run_report(data: CategoryData, checks=None, tolerance: float = 1e-9) -> dict
         raise InputError(f"tolerance must be a finite positive number, got {tolerance!r}")
     if checks is None:
         checks = CHECK_NAMES
-    checks = list(checks)
+    checks = [checks] if isinstance(checks, str) else list(checks)
     if not checks:
         raise InputError(f"no check selected; known: {', '.join(CHECK_NAMES)}")
     for c in checks:

@@ -290,6 +290,12 @@ def test_report_single_check(fib):
     assert report["verdict"] == "modular"
 
 
+def test_report_takes_a_string_as_one_check(fib):
+    assert run_report(fib, checks="pentagon") == run_report(fib, checks=["pentagon"])
+    with pytest.raises(InputError, match="unknown check 'pent'"):  # not split into letters
+        run_report(fib, checks="pent")
+
+
 def test_report_degenerate_entry():
     data = make("pointed_zn", n=2, q_exponent=0)
     report = run_report(data)

@@ -14,7 +14,7 @@ from mtcat import category_data
 from mtcat.category_data import _coherence_tables, _plan, _with_r, _f_values
 
 import reference_coherence as reference
-from conftest import CATALOG, bump_one_f_and_one_r, random_rep_a4_data
+from conftest import CATALOG, bump_one_f_and_one_r, random_rep_a4_data, rep_a4_ring
 
 
 @pytest.fixture
@@ -27,15 +27,21 @@ def empty_store(monkeypatch):
 
 @pytest.fixture
 def pentagon_builds(monkeypatch):
-    """The leading labels for which a pentagon table has been built, in build order."""
-    built, build = [], category_data._pentagon_chunk
+    """The (a,b,c,d) cells of every pentagon block built, as (start, stop), in build order."""
+    built, build = [], category_data._pentagon_block
 
-    def counting(N, lay, a, rows):
-        built.append(a)
-        return build(N, lay, a, rows)
+    def counting(N, lay, cells):
+        built.append((cells.start, cells.stop))
+        return build(N, lay, cells)
 
-    monkeypatch.setattr(category_data, "_pentagon_chunk", counting)
+    monkeypatch.setattr(category_data, "_pentagon_block", counting)
     return built
+
+
+def _tile_the_cells_once(runs, ring):
+    """Whether runs of cells, in order, cover every (a,b,c,d) cell of the ring once."""
+    starts, stops = zip(*runs)
+    return starts[0] == 0 and starts[1:] == stops[:-1] and stops[-1] == ring.size**4
 
 
 def _plan_bytes(content):
@@ -50,7 +56,7 @@ def test_two_loads_of_one_text_build_the_pentagon_plan_once(empty_store, pentago
     first, second = loads(text), loads(text)
     assert first.ring is not second.ring
     assert category_data.pentagon_residual(first) == category_data.pentagon_residual(second)
-    assert pentagon_builds == list(range(first.ring.size))  # once per leading label
+    assert _tile_the_cells_once(pentagon_builds, first.ring)
     assert _plan(first.ring) is _plan(second.ring)
 
 
@@ -61,7 +67,7 @@ def test_z4_with_q0_and_q2_share_a_plan(empty_store, pentagon_builds):
     assert _plan(q0.ring) is _plan(q2.ring)
     category_data.coherence_summary(q0)
     category_data.coherence_summary(q2)
-    assert pentagon_builds == [0, 1, 2, 3]
+    assert _tile_the_cells_once(pentagon_builds, q0.ring)
 
 
 def test_rings_that_differ_only_in_names_dual_or_n_do_not_share(empty_store):
@@ -250,25 +256,69 @@ def test_rep_a4_instances_have_several_terms():
         assert np.bincount(lhs[0]).max() > 1 and np.bincount(rhs[0]).max() > 1, identity
 
 
-@pytest.mark.parametrize("block_terms", [1, 5, 64])
+def _fresh(ring):
+    """A ring equal to ``ring`` with a plan of its own, built under the block bound in force."""
+    return FusionRing(ring.names, ring.dual, ring.N)
+
+
+def _counts(ring, identity):
+    """The instances of every (a,b,c,d) cell, as the package counts them."""
+    if identity == "pentagon":
+        return category_data._pentagon_counts(ring.N)
+    return category_data._hexagon_counts(ring.N)
+
+
+def _cells(ring, witnesses):
+    """The raveled (a,b,c,d) cell of every instance."""
+    return np.ravel_multi_index(tuple(witnesses[:, :4].T), (ring.size,) * 4)
+
+
+def _assert_cuts_within_the_bound(ring, bound):
+    """No cell is split between blocks, and a block holds at most ``bound`` instances
+    besides those of its first cell."""
+    for identity in ("pentagon", "hexagon"):
+        counts = _counts(ring, identity)
+        cells = [_cells(ring, w) for w, _, _ in _coherence_tables(ring, identity)]
+        assert all(here[-1] < after[0] for here, after in zip(cells, cells[1:])), identity
+        assert all(len(c) <= bound + counts[c[0]] for c in cells), identity
+
+
+@pytest.mark.parametrize("bound", [1, 5, 64])
 @pytest.mark.parametrize("name", ["rep_a4", "su2_k4"])
-def test_instances_with_more_terms_than_a_block(catalog, empty_store, monkeypatch, name,
-                                                block_terms):
-    monkeypatch.setattr(category_data, "_BLOCK_TERMS", block_terms)
+def test_instances_with_more_terms_than_a_block(catalog, empty_store, monkeypatch, name, bound):
+    monkeypatch.setattr(category_data, "_BLOCK_INSTANCES", bound)
     variants = _variants(catalog, name)
-    base = variants["plain"].ring
-    ring = FusionRing(base.names, base.dual, base.N)  # a new plan, so blocks of this size
+    ring = _fresh(variants["plain"].ring)
     for data in variants.values():
         _assert_blocks_match_oracle(CategoryData(ring=ring, F=data.F, R=data.R))
     blocks = _coherence_tables(ring, "pentagon")
     assert len(blocks) > 1
-    for _, lhs, rhs in blocks:  # at most block_terms terms per table besides the first instance's
-        assert np.count_nonzero(lhs[0]) <= block_terms and np.count_nonzero(rhs[0]) <= block_terms
-    if block_terms == 1:  # every instance has a term: one instance per block
-        assert all(len(w) == 1 for w, _, _ in blocks)
+    _assert_same_rows(blocks, reference.unblocked_tables(ring, "pentagon"))  # every term kept
+    _assert_cuts_within_the_bound(ring, bound)
 
 
-# --- index types, and chunks of at most _CHUNK_INSTANCES instances ------------
+@pytest.mark.parametrize("name", BLOCK_DATA + ["su2_k9"])
+def test_cell_counts_match_the_oracle(catalog, name):
+    rings = {"su2_k9": _su2_ring(9), "rep_a4": rep_a4_ring()}
+    ring = rings[name] if name in rings else catalog[name].ring
+    for identity in ("pentagon", "hexagon"):
+        witnesses = reference.concatenated(reference.unblocked_tables(ring, identity))[0]
+        want = np.bincount(_cells(ring, witnesses), minlength=ring.size**4)
+        assert np.array_equal(_counts(ring, identity), want), identity
+
+
+@pytest.mark.parametrize("bound", [1, 7, 64])
+def test_cuts_keep_cells_whole_and_within_the_bound(catalog, empty_store, monkeypatch, bound):
+    monkeypatch.setattr(category_data, "_BLOCK_INSTANCES", bound)
+    for name in ("pointed_z6", "su2_k5"):  # test_instances_with_more_terms_than_a_block: the others
+        variants = _variants(catalog, name)
+        ring = _fresh(variants["plain"].ring)
+        _assert_cuts_within_the_bound(ring, bound)
+        for data in variants.values():  # nan and overflow included
+            _assert_blocks_match_oracle(CategoryData(ring=ring, F=data.F, R=data.R))
+
+
+# --- index types, and blocks past 2^16 instances --------------------------------
 
 
 def _su2_ring(k):
@@ -277,13 +327,6 @@ def _su2_ring(k):
     a, b, c = np.indices((k + 1,) * 3)
     N = (abs(a - b) <= c) & (c <= np.minimum(a + b, 2 * k - a - b)) & ((a + b + c) % 2 == 0)
     return FusionRing([str(x) for x in range(k + 1)], range(k + 1), N)
-
-
-def _narrow(chunk, size):
-    """A table of ``reference_coherence`` in the index type the package gives it."""
-    witnesses, lhs, rhs = chunk
-    index = category_data._index_type(size, len(witnesses))
-    return witnesses, lhs.astype(index), rhs.astype(index)
 
 
 def _assert_same_rows(blocks, chunks):
@@ -299,6 +342,11 @@ def _assert_same_sums(blocks, chunks, vals):
         reference.worst_instance(chunks, vals))
 
 
+def _random_values(lay, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(lay.size) + 1j * rng.standard_normal(lay.size)
+
+
 def test_index_type_holds_every_index():
     index = category_data._index_type
     assert index(1) == index(256) == np.uint8 and index(257) == np.uint16
@@ -306,17 +354,18 @@ def test_index_type_holds_every_index():
     assert index((1 << 16) + 1) == index(300, (1 << 16) + 1) == np.uint32
 
 
-def test_join_past_2_16_instances_gets_the_wider_type(catalog):
-    data = bump_one_f_and_one_r(catalog["su2_k4"])
-    size = category_data._layout(data.ring).size
-    chunks = reference.unblocked_tables(data.ring, "pentagon") * 19  # 19 * 3611 instances
-    assert sum(len(w) for w, _, _ in chunks) > 1 << 16
-    narrow = [_narrow(chunk, size) for chunk in chunks]
-    assert {lhs.dtype for _, lhs, _ in narrow} == {np.dtype(np.uint16)}
-    block = category_data._join(narrow, size)
-    assert block[1].dtype == block[2].dtype == np.uint32
-    _assert_same_rows([block], chunks)
-    _assert_same_sums([block], chunks, _f_values(data))
+def test_a_block_past_2_16_instances_gets_the_wider_type(empty_store, monkeypatch):
+    monkeypatch.setattr(category_data, "_BLOCK_INSTANCES", 1 << 17)
+    ring = _su2_ring(9)
+    lay = category_data._layout(ring)
+    assert lay.size < 1 << 16  # only the instance index needs 32 bits
+    blocks = _coherence_tables(ring, "pentagon")
+    wide = [len(w) > 1 << 16 for w, _, _ in blocks]
+    assert any(wide)
+    assert [lhs.dtype == rhs.dtype == np.uint32 for _, lhs, rhs in blocks] == wide
+    chunks = reference.unblocked_tables(ring, "pentagon")
+    _assert_same_rows(blocks, chunks)
+    _assert_same_sums(blocks, chunks, _random_values(lay, 5))
 
 
 def test_offsets_past_2_16_get_the_wider_type(empty_store):
@@ -327,55 +376,37 @@ def test_offsets_past_2_16_get_the_wider_type(empty_store):
     assert {(lhs.dtype, rhs.dtype) for _, lhs, rhs in blocks} == {(np.dtype(np.uint32),) * 2}
     chunks = reference.unblocked_tables(ring, "hexagon")
     _assert_same_rows(blocks, chunks)
-    rng = np.random.default_rng(3)
-    vals = rng.standard_normal(lay.size) + 1j * rng.standard_normal(lay.size)
-    _assert_same_sums(blocks, chunks, vals)
+    _assert_same_sums(blocks, chunks, _random_values(lay, 3))
 
 
-def test_a_label_past_2_16_instances_is_built_in_16_bit_chunks():
+def test_a_label_past_2_16_instances_is_built_in_16_bit_blocks(empty_store):
     ring = _su2_ring(9)
-    N, lay = ring.N, category_data._layout(ring)
-    counts = category_data._pentagon_counts(N).sum(axis=1)
-    a = int(np.argmax(counts))
-    assert counts[a] > 1 << 16 and lay.size < 1 << 16
-    whole = category_data._pentagon_chunk(N, lay, a, slice(None))
-    want = reference.pentagon_tables(N, lay, a)
-    assert len(whole[0]) == counts[a] and whole[1].dtype == np.uint32
-    _assert_same_rows([whole], [want])
-    runs = [rows for label, rows in category_data._pentagon_runs(N) if label == a]
-    chunks = [category_data._pentagon_chunk(N, lay, a, rows) for rows in runs]
-    assert len(chunks) > 1 and all(len(w) <= 1 << 16 for w, _, _ in chunks)
-    assert all(lhs.dtype == rhs.dtype == np.uint16 for _, lhs, rhs in chunks)
-    _assert_same_rows(chunks, [want])
+    lay = category_data._layout(ring)
+    per_label = category_data._pentagon_counts(ring.N).reshape(ring.size, -1).sum(axis=1)
+    assert per_label.max() > 1 << 16 and lay.size < 1 << 16
+    blocks = _coherence_tables(ring, "pentagon")
+    assert {(lhs.dtype, rhs.dtype) for _, lhs, rhs in blocks} == {(np.dtype(np.uint16),) * 2}
+    _assert_same_rows(blocks, reference.unblocked_tables(ring, "pentagon"))
 
 
 @pytest.mark.parametrize("name", BLOCK_DATA)
 def test_chunks_of_few_instances_match_the_unblocked_oracle(catalog, empty_store, monkeypatch,
                                                             name):
-    bound, sizes, build = 64, [], category_data._pentagon_chunk
-
-    def recording(N, lay, a, rows):
-        chunk = build(N, lay, a, rows)
-        sizes.append(len(chunk[0]))
-        return chunk
-
-    monkeypatch.setattr(category_data, "_CHUNK_INSTANCES", bound)
-    monkeypatch.setattr(category_data, "_pentagon_chunk", recording)
+    bound = 64
+    monkeypatch.setattr(category_data, "_BLOCK_INSTANCES", bound)
     variants = _variants(catalog, name)
-    base = variants["plain"].ring
-    ring = FusionRing(base.names, base.dual, base.N)  # a new plan, built in chunks
+    ring = _fresh(variants["plain"].ring)
     blocks = _coherence_tables(ring, "pentagon")
     _assert_same_rows(blocks, reference.unblocked_tables(ring, "pentagon"))
-    counts = category_data._pentagon_counts(ring.N)
-    assert len(sizes) > ring.size or counts.sum(axis=1).max() <= bound
-    assert all(size <= bound or size in counts for size in sizes)  # or a single (a, b, c)
+    _assert_cuts_within_the_bound(ring, bound)
     for data in (variants["plain"], variants["bumped"]):
         _assert_blocks_match_oracle(CategoryData(ring=ring, F=data.F, R=data.R))
 
 
-def test_su2_k8_pentagon_plan_is_16_bit_and_one_chunk_per_label(empty_store, pentagon_builds):
+def test_su2_k8_pentagon_plan_is_16_bit_and_built_once(empty_store, pentagon_builds):
     ring = make("su2_level", level=8).ring
     blocks = _coherence_tables(ring, "pentagon")
-    assert pentagon_builds == list(range(ring.size))  # no label has more than 2**16 instances
+    _coherence_tables(ring, "pentagon")
+    assert _tile_the_cells_once(pentagon_builds, ring)
     assert {(lhs.dtype, rhs.dtype) for _, lhs, rhs in blocks} == {(np.dtype(np.uint16),) * 2}
     assert _plan(ring)["pentagon"][1] <= 9.0e6  # int32 tables: 14.61 MB
