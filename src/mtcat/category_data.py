@@ -350,7 +350,7 @@ def pentagon_residual(data: CategoryData) -> tuple[float, tuple]:
     q the (c,d) channel, p the (b,q) channel, r the (a,b) channel, s the
     (r,c) channel.  Ties resolve to the lexicographically smallest tuple.
     """
-    return _worst_instance(_coherence_tables(data.ring, "pentagon"), _f_values(data))
+    return _worst_instance(data.ring, "pentagon", _f_values(data))
 
 
 def hexagon_residual(data: CategoryData, direction: str = "braid") -> tuple[float, tuple]:
@@ -363,8 +363,7 @@ def hexagon_residual(data: CategoryData, direction: str = "braid") -> tuple[floa
     """
     if direction not in ("braid", "inverse_braid"):
         raise InputError(f"unknown hexagon direction {direction!r}")
-    vals = _with_r(data, _f_values(data), direction)
-    return _worst_instance(_coherence_tables(data.ring, "hexagon"), vals)
+    return _worst_instance(data.ring, "hexagon", _with_r(data, _f_values(data), direction))
 
 
 # One engine evaluates both identities.  An identity is a table of instances
@@ -377,7 +376,10 @@ def hexagon_residual(data: CategoryData, direction: str = "braid") -> tuple[floa
 # and evaluated in blocks: runs of consecutive (a,b,c,d) cells of the label grid
 # with at most _BLOCK_INSTANCES instances besides those of their first cell, cut
 # from the exact count of every cell, so cost and memory follow the instance
-# count; each block is stored in the narrowest index type.
+# count; each block is stored in the narrowest index type.  A block keeps its
+# instance count and term tables, not the labels of its instances: the running
+# instance totals per cell, kept in the plan too, find the cell of the one worst
+# instance, and the labels of that cell alone are built again.
 #
 # Every cache below is kept in the ring's plan, which the process-wide store
 # shares among all rings of equal content (names, dual, N: what ``==``
@@ -453,8 +455,9 @@ def _ring_ok(ring: FusionRing) -> bool:
 def _nbytes(value) -> int:
     """Bytes of the arrays and strings in a cached value.
 
-    A list holds items of one kind: a list of numbers or of tuples of numbers,
-    such as keys, counts 0 without a look at each item.
+    A list holds items of one kind: a list of numbers or of tuples of numbers only,
+    such as keys, counts 0 without a look at each item; a list of tuples that hold
+    arrays, such as blocks, counts its arrays.
     """
     if isinstance(value, np.ndarray):
         return value.nbytes
@@ -465,8 +468,8 @@ def _nbytes(value) -> int:
     elif hasattr(value, "__dict__"):
         value = tuple(vars(value).values())
     if isinstance(value, list) and value:
-        first = value[0][0] if isinstance(value[0], tuple) and value[0] else value[0]
-        if isinstance(first, numbers.Number):
+        first = value[0] if isinstance(value[0], tuple) else (value[0],)
+        if all(isinstance(x, numbers.Number) for x in first):
             return 0
     if isinstance(value, (list, tuple)):
         return sum(map(_nbytes, value))
@@ -478,27 +481,31 @@ def _layout(ring: FusionRing) -> _Layout:
 
 
 def _coherence_tables(ring: FusionRing, identity: str) -> list:
-    """The instance tables of one identity in blocks of whole instances: (witnesses, lhs, rhs)
+    """The instance tables of one identity in blocks of whole cells: (instance count, lhs, rhs)
     per block, in instance order; a term's instance counts from the first of its block."""
     N, lay = ring.N, _layout(ring)
-    if identity == "pentagon":
-        build, counts = _pentagon_block, _pentagon_counts
-    else:
-        build, counts = _hexagon_block, _hexagon_counts
-    return _cached(ring, identity, lambda: [build(N, lay, cells) for cells in _runs(counts(N))])
+    build = _pentagon_block if identity == "pentagon" else _hexagon_block
+    return _cached(ring, identity, lambda: [build(N, lay, cells)
+                                            for cells in _runs(_cell_totals(ring, identity))])
 
 
-def _runs(counts: np.ndarray) -> list[slice]:
-    """The blocks as runs of consecutive cells, given the instances of each cell.
+def _cell_totals(ring: FusionRing, identity: str) -> np.ndarray:
+    """The running instance total of an identity at the end of every raveled (a,b,c,d) cell."""
+    counts = _pentagon_counts if identity == "pentagon" else _hexagon_counts
+    return _cached(ring, f"{identity} totals", lambda: np.cumsum(counts(ring.N)))
+
+
+def _runs(totals: np.ndarray) -> list[slice]:
+    """The blocks as runs of consecutive cells, given the running instance totals per cell.
 
     A run is the cells whose running totals have one quotient by _BLOCK_INSTANCES + 1,
     so it holds at most _BLOCK_INSTANCES instances besides its first cell's; a cell of
     more is a run alone.  A run without instances is left out.
     """
-    total = np.cumsum(counts)
-    run = total // (_BLOCK_INSTANCES + 1)
-    cuts = [0, *(np.flatnonzero(run[1:] != run[:-1]) + 1).tolist(), len(counts)]
-    return [slice(i, j) for i, j in zip(cuts, cuts[1:]) if total[j - 1] > total[i] - counts[i]]
+    run = totals // (_BLOCK_INSTANCES + 1)
+    cuts = [0, *(np.flatnonzero(run[1:] != run[:-1]) + 1).tolist(), len(totals)]
+    before = np.concatenate([[0], totals])  # instances in the cells before each cell
+    return [slice(i, j) for i, j in zip(cuts, cuts[1:]) if before[j] > before[i]]
 
 
 def _pentagon_counts(N: np.ndarray) -> np.ndarray:
@@ -619,6 +626,17 @@ def _slots(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return channel.reshape(len(counts), -1), pos.reshape(len(counts), -1)
 
 
+def _pentagon_instances(N: np.ndarray, cells: slice) -> _Table:
+    """The pentagon instances on the ``cells`` of the (a,b,c,d) grid, in instance order."""
+    out, mid, into = _channels(N)
+    t = _grid(N, "abcdw", slice(cells.start * len(N), cells.stop * len(N)))
+    t = _labels(t, "q", out(t["c"], t["d"]))
+    t = _labels(t, "p", out(t["b"], t["q"]) & mid(t["a"], t["w"]))
+    t = _labels(t, "r", out(t["a"], t["b"]))
+    t = _labels(t, "s", out(t["r"], t["c"]) & into(t["d"], t["w"]))
+    return _vectors(N, t, "cdq", "bqp", "apw", "abr", "rcs", "sdw")
+
+
 def _pentagon_block(N: np.ndarray, lay: _Layout, cells: slice) -> tuple:
     """Pentagon instances on the ``cells`` of the (a,b,c,d) grid.
 
@@ -626,20 +644,24 @@ def _pentagon_block(N: np.ndarray, lay: _Layout, cells: slice) -> tuple:
     F[b,c,d,p;q,t] F[a,t,d,w;p,s] F[a,b,c,s;t,r].
     """
     out, mid, into = _channels(N)
-    t = _grid(N, "abcdw", slice(cells.start * len(N), cells.stop * len(N)))
-    t = _labels(t, "q", out(t["c"], t["d"]))
-    t = _labels(t, "p", out(t["b"], t["q"]) & mid(t["a"], t["w"]))
-    t = _labels(t, "r", out(t["a"], t["b"]))
-    t = _labels(t, "s", out(t["r"], t["c"]) & into(t["d"], t["w"]))
-    t = _vectors(N, t, "cdq", "bqp", "apw", "abr", "rcs", "sdw")
+    t = _pentagon_instances(N, cells)
     lhs = _vectors(N, _where(N, t, "rqw"), "rqw")
     rhs = _labels(t, "t", out(t["b"], t["c"]) & into(t["d"], t["p"]) & mid(t["a"], t["s"]))
     rhs = _vectors(N, rhs, "bct", "tdp", "ats")
     return (
-        np.stack([t[x] for x in "abcdwqprs"], axis=1),
+        len(t["a"]),
         _terms(lay, lhs, t, lay.f(lhs, "abqwpr"), lay.f(lhs, "rcdwqs")),
         _terms(lay, rhs, t, lay.f(rhs, "bcdpqt"), lay.f(rhs, "atdwps"), lay.f(rhs, "abcstr")),
     )
+
+
+def _hexagon_instances(N: np.ndarray, cells: slice) -> _Table:
+    """The hexagon instances on the ``cells`` of the (a,b,c,d) grid, in instance order."""
+    out, mid, into = _channels(N)
+    t = _grid(N, "abcd", cells)
+    t = _labels(t, "g", out(t["c"], t["a"]) & mid(t["b"], t["d"]))
+    t = _labels(t, "f", out(t["a"], t["b"]) & into(t["c"], t["d"]))
+    return _vectors(N, t, "cag", "bgd", "abf", "fcd")
 
 
 def _hexagon_block(N: np.ndarray, lay: _Layout, cells: slice) -> tuple:
@@ -649,15 +671,12 @@ def _hexagon_block(N: np.ndarray, lay: _Layout, cells: slice) -> tuple:
     rhs: R[a,c,g] F[b,a,c,d;g,f] R[a,b,f].
     """
     out, mid, into = _channels(N)
-    t = _grid(N, "abcd", cells)
-    t = _labels(t, "g", out(t["c"], t["a"]) & mid(t["b"], t["d"]))
-    t = _labels(t, "f", out(t["a"], t["b"]) & into(t["c"], t["d"]))
-    t = _vectors(N, t, "cag", "bgd", "abf", "fcd")
+    t = _hexagon_instances(N, cells)
     lhs = _labels(t, "h", out(t["b"], t["c"]) & into(t["a"], t["d"]) & mid(t["a"], t["d"]))
     lhs = _vectors(N, lhs, "bch", "had", "ahd")
     rhs = _vectors(N, _where(N, t, "acg", "baf"), "acg", "baf")
     return (
-        np.stack([t[x] for x in "abcdgf"], axis=1),
+        len(t["a"]),
         _terms(lay, lhs, t, lay.f(lhs, "bcadgh"), lay.r(lhs, "ahd"), lay.f(lhs, "abcdhf")),
         _terms(lay, rhs, t, lay.r(rhs, "acg"), lay.f(rhs, "bacdgf"), lay.r(rhs, "abf")),
     )
@@ -821,21 +840,43 @@ def _sum(vals: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
 
 def _residuals(vals: np.ndarray, block: tuple) -> np.ndarray:
     """|sum lhs - sum rhs| of every instance of a block."""
-    witnesses, lhs, rhs = block
-    n = len(witnesses)
+    n, lhs, rhs = block
     return np.abs(_sum(vals, lhs, n) - _sum(vals, rhs, n))
 
 
-def _worst_instance(blocks: list, vals: np.ndarray) -> tuple[float, tuple]:
-    """Largest residual and the first instance reaching it; a NaN always wins."""
-    tops = []
-    for block in blocks:
+def _worst(ring: FusionRing, identity: str, vals: np.ndarray) -> tuple[float, int | None]:
+    """Largest residual of an identity and the first instance reaching it, counted over all
+    blocks (None: no instance); a NaN always wins."""
+    tops, first = [], 0
+    for block in _coherence_tables(ring, identity):
         residual = _residuals(vals, block)
         k = int(np.argmax(residual))
-        tops.append((float(residual[k]), tuple(int(x) for x in block[0][k])))
+        tops.append((float(residual[k]), first + k))
+        first += block[0]
     if not tops:
-        return 0.0, ()
+        return 0.0, None
     return tops[int(np.argmax([res for res, _ in tops]))]
+
+
+def _witness(ring: FusionRing, identity: str, instance: int | None) -> tuple:
+    """The labels of one instance of an identity, built again from its cell alone; ()
+    for None."""
+    if instance is None:
+        return ()
+    totals = _cell_totals(ring, identity)
+    cell = int(np.searchsorted(totals, instance, side="right"))
+    if identity == "pentagon":
+        t, labels = _pentagon_instances(ring.N, slice(cell, cell + 1)), "abcdwqprs"
+    else:
+        t, labels = _hexagon_instances(ring.N, slice(cell, cell + 1)), "abcdgf"
+    row = instance - int(totals[cell]) + len(t["a"])  # the cell's instances end at its total
+    return tuple(int(t[x][row]) for x in labels)
+
+
+def _worst_instance(ring: FusionRing, identity: str, vals: np.ndarray) -> tuple[float, tuple]:
+    """Largest residual of an identity and the labels of the first instance reaching it."""
+    residual, instance = _worst(ring, identity, vals)
+    return residual, _witness(ring, identity, instance)
 
 
 # ---------------------------------------------------------------------------
@@ -1164,15 +1205,25 @@ def _copied(ring: FusionRing, table: dict, kind: str) -> dict:
 
 
 def coherence_summary(data: CategoryData) -> dict:
-    """All coherence residuals in one dict (pentagon, hexagons, triangle).
+    """All coherence residuals in one dict (pentagon, hexagons, triangle), with the labels
+    of each identity's worst instance under ``<name>_worst``.
 
     The F entries are gathered once and shared by every identity.
     """
+    summary = _coherence(data)
+    for name, identity in (("pentagon", "pentagon"), ("hexagon_braid", "hexagon"),
+                           ("hexagon_inverse", "hexagon")):
+        summary[name + "_worst"] = _witness(data.ring, identity, summary[name + "_worst"])
+    return summary
+
+
+def _coherence(data: CategoryData) -> dict:
+    """``coherence_summary`` with the index of each worst instance in place of its labels,
+    so that no witness is built."""
     ring, f = data.ring, _f_values(data)
-    pent, pent_at = _worst_instance(_coherence_tables(ring, "pentagon"), f)
-    hexagon = _coherence_tables(ring, "hexagon")
-    hex1, hex1_at = _worst_instance(hexagon, _with_r(data, f, "braid"))
-    hex2, hex2_at = _worst_instance(hexagon, _with_r(data, f, "inverse_braid"))
+    pent, pent_at = _worst(ring, "pentagon", f)
+    hex1, hex1_at = _worst(ring, "hexagon", _with_r(data, f, "braid"))
+    hex2, hex2_at = _worst(ring, "hexagon", _with_r(data, f, "inverse_braid"))
     return {
         "pentagon": pent,
         "pentagon_worst": pent_at,

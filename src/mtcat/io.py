@@ -209,9 +209,13 @@ def _row_template(keys: list, shapes: list, split: bool):
 
 
 def save(data: CategoryData, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps(data))
-        fh.write("\n")
+    text = dumps(data)  # before the file is opened: data that cannot be written leaves it as it was
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def content_hash(data: CategoryData) -> str:

@@ -18,14 +18,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .category_data import (CategoryData, _cached, _flat, _ring_ok, _stacking, _unit_elements,
-                            coherence_summary, rigidity_scalar)
+from .category_data import (CategoryData, _cached, _coherence, _flat, _ring_ok, _stacking,
+                            _unit_elements, rigidity_scalar)
 from .errors import IncompleteData, InputError, WeightsInconsistent
 from .fusion_ring import SMatrix, fp_dimensions
 
 COHERENCE_TOL = 1e-7  # verdict threshold; loose enough for level-8 accumulation
 DET_TOL = 1e-8  # determinant threshold, relative to the matrix scale
-# the residuals that decide coherence; the first four come from coherence_summary
+# the residuals that decide coherence; the first four come from category_data._coherence,
+# coherence_summary without its witnesses
 _COHERENCE = ("pentagon", "hexagon_braid", "hexagon_inverse", "triangle", "ribbon",
               "twist_weights")
 
@@ -219,7 +220,7 @@ def check_modular(data: CategoryData, coherence_tol: float = COHERENCE_TOL) -> M
     gauss_sums = (0j, 0j)
 
     if residuals["ring"] == 0.0:
-        summary = coherence_summary(data)
+        summary = _coherence(data)
         residuals.update((key, summary[key]) for key in _COHERENCE[:4])
         derived = _derive(data)
         dims, th = derived.dims, derived.twists

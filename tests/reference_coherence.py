@@ -25,6 +25,9 @@ the tables of each leading label whole, and ``residuals`` and
 ``worst_instance`` evaluate them one table at a time, against the blocks of
 whole instances that the package evaluates; ``concatenated`` joins either
 into one table whose terms count their instance from the first of all.
+``labelled_blocks`` gives the package's blocks their label rows back, built
+again by the package from each block's cells, for comparison with the rows of
+``unblocked_tables``.
 """
 
 import numpy as np
@@ -498,3 +501,23 @@ def concatenated(tables):
             parts.append(part)
         out.append(np.concatenate(parts, axis=1))
     return tuple(out)
+
+
+def labelled_blocks(ring, identity):
+    """The package's blocks of an identity with the label rows of their instances in place
+    of the instance count: each block's rows built again by the package's own instance
+    builder from the cells of its first to its last instance, found from the running
+    instance totals per cell by ``searchsorted``, as the package finds a witness."""
+    from mtcat import category_data as cd
+
+    if identity == "pentagon":
+        build, labels = cd._pentagon_instances, "abcdwqprs"
+    else:
+        build, labels = cd._hexagon_instances, "abcdgf"
+    totals, out, first = cd._cell_totals(ring, identity), [], 0
+    for n, lhs, rhs in cd._coherence_tables(ring, identity):
+        start, last = np.searchsorted(totals, [first, first + n - 1], side="right").tolist()
+        t = build(ring.N, slice(start, last + 1))
+        out.append((np.stack([t[x] for x in labels], axis=1), lhs, rhs))
+        first += n
+    return out

@@ -323,7 +323,7 @@ def test_report_computes_each_quantity_once(fib, monkeypatch):
     # the pairing matrices of all labels are read at once: nothing runs per label
     counts = _count_calls(
         monkeypatch,
-        coherence_summary,
+        category_data._coherence,
         quantum_dimensions,
         category_data._unit_elements,
         category_data._inverse_unit_checks,
@@ -333,7 +333,7 @@ def test_report_computes_each_quantity_once(fib, monkeypatch):
     )
     assert all_pass(run_report(fib))
     assert counts == {
-        "coherence_summary": 1,
+        "_coherence": 1,
         "quantum_dimensions": 1,
         "_unit_elements": 1,
         "_inverse_unit_checks": 1,
@@ -341,6 +341,25 @@ def test_report_computes_each_quantity_once(fib, monkeypatch):
         "f_inverse_unit_check": 0,
         "f_matrix": 0,
     }
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "su2_k5"])
+def test_only_coherence_summary_builds_witnesses(catalog, monkeypatch, name):
+    # the report reads no witness, so none is built; a summary builds one per identity
+    data = bump_one_f_and_one_r(catalog[name])
+    for identity in ("pentagon", "hexagon"):
+        category_data._coherence_tables(data.ring, identity)  # the blocks: built before counting
+    counts = _count_calls(
+        monkeypatch, category_data._pentagon_instances, category_data._hexagon_instances
+    )
+    run_report(data)
+    check_modular(data)
+    assert counts == {"_pentagon_instances": 0, "_hexagon_instances": 0}
+    summary = coherence_summary(data)
+    assert counts == {"_pentagon_instances": 1, "_hexagon_instances": 2}
+    assert summary["pentagon_worst"] == category_data.pentagon_residual(data)[1]
+    assert summary["hexagon_inverse_worst"] == category_data.hexagon_residual(
+        data, "inverse_braid")[1]
 
 
 def _strict_json(text):
@@ -524,6 +543,37 @@ def test_cli_verify_rejects_a_bad_tolerance(tmp_path, catalog, tol):
     proc = _cli("verify", path, "--json", f"--tol={tol}")
     _one_error_line(proc, "tolerance must be a finite positive number")
     assert proc.stdout == ""
+
+
+def test_cli_gen_to_a_missing_directory_is_an_input_error(tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    proc = _cli("gen", "trivial", "-o", out)
+    _one_error_line(proc, f"cannot write {out}: ")
+    assert "No such file or directory" in proc.stderr and not out.parent.exists()
+
+
+def test_cli_gauge_to_a_directory_is_an_input_error(tmp_path):
+    path = tmp_path / "fib.json"
+    save(make("fibonacci"), path)
+    proc = _cli("gauge", path, "--seed", "1", "-o", tmp_path)
+    _one_error_line(proc, f"cannot write {tmp_path}: ")
+    assert "Is a directory" in proc.stderr and proc.stdout == ""
+
+
+def test_save_to_an_unwritable_path_raises_input_error(fib, tmp_path):
+    with pytest.raises(InputError, match="cannot write"):
+        save(fib, tmp_path)
+
+
+def test_save_of_data_it_cannot_write_leaves_the_file_as_it_was(fib, tmp_path):
+    path = tmp_path / "fib.json"
+    save(fib, path)
+    before = path.read_bytes()
+    bad = fib.copy()
+    bad.F[(1, 1, 1, 1, 0, 0)] = np.ones((2, 2, 2, 2), dtype=complex)
+    with pytest.raises(InputError, match="admissible shapes"):
+        save(bad, path)
+    assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0, "1e-9"])

@@ -209,17 +209,19 @@ def _values(data):
 
 @np.errstate(over="ignore", invalid="ignore")  # the overflow variant
 def _assert_blocks_match_oracle(data):
+    ring = data.ring
     for identity, values in _values(data).items():
-        blocks = _coherence_tables(data.ring, identity)
-        chunks = reference.unblocked_tables(data.ring, identity)
-        assert np.array_equal(
-            np.concatenate([w for w, _, _ in blocks]), np.concatenate([w for w, _, _ in chunks])
+        blocks = _coherence_tables(ring, identity)
+        chunks = reference.unblocked_tables(ring, identity)
+        assert np.array_equal(  # the labels of every instance, built again from its block's cells
+            np.concatenate([w for w, _, _ in reference.labelled_blocks(ring, identity)]),
+            np.concatenate([w for w, _, _ in chunks]),
         )
         for vals in values:
             got = np.concatenate([category_data._residuals(vals, block) for block in blocks])
             want = np.concatenate([reference.residuals(vals, chunk) for chunk in chunks])
             assert got.tobytes() == want.tobytes(), identity  # bit for bit, NaN included
-            got = category_data._worst_instance(blocks, vals)
+            got = category_data._worst_instance(ring, identity, vals)
             want = reference.worst_instance(chunks, vals)
             assert repr(got) == repr(want), identity  # repr: a NaN residual equals itself
 
@@ -240,9 +242,9 @@ def test_overflow_variant_reaches_inf_and_nan(catalog, name):
     with np.errstate(over="ignore", invalid="ignore"):
         for identity, values in _values(data).items():
             for vals in values:
-                for witnesses, lhs, rhs in _coherence_tables(data.ring, identity):
-                    residuals.append(category_data._residuals(vals, (witnesses, lhs, rhs)))
-                    sums += [category_data._sum(vals, t, len(witnesses)) for t in (lhs, rhs)]
+                for n, lhs, rhs in _coherence_tables(data.ring, identity):
+                    residuals.append(category_data._residuals(vals, (n, lhs, rhs)))
+                    sums += [category_data._sum(vals, t, n) for t in (lhs, rhs)]
     residuals, sums = np.concatenate(residuals), np.concatenate(sums)
     assert np.isfinite(residuals).any() and np.isinf(residuals).any() and np.isnan(residuals).any()
     assert (np.isinf(sums.real) & np.isnan(sums.imag)).any() or (
@@ -278,7 +280,7 @@ def _assert_cuts_within_the_bound(ring, bound):
     besides those of its first cell."""
     for identity in ("pentagon", "hexagon"):
         counts = _counts(ring, identity)
-        cells = [_cells(ring, w) for w, _, _ in _coherence_tables(ring, identity)]
+        cells = [_cells(ring, w) for w, _, _ in reference.labelled_blocks(ring, identity)]
         assert all(here[-1] < after[0] for here, after in zip(cells, cells[1:])), identity
         assert all(len(c) <= bound + counts[c[0]] for c in cells), identity
 
@@ -291,9 +293,8 @@ def test_instances_with_more_terms_than_a_block(catalog, empty_store, monkeypatc
     ring = _fresh(variants["plain"].ring)
     for data in variants.values():
         _assert_blocks_match_oracle(CategoryData(ring=ring, F=data.F, R=data.R))
-    blocks = _coherence_tables(ring, "pentagon")
-    assert len(blocks) > 1
-    _assert_same_rows(blocks, reference.unblocked_tables(ring, "pentagon"))  # every term kept
+    assert len(_coherence_tables(ring, "pentagon")) > 1
+    _assert_same_rows(ring, "pentagon")  # every term kept
     _assert_cuts_within_the_bound(ring, bound)
 
 
@@ -318,6 +319,53 @@ def test_cuts_keep_cells_whole_and_within_the_bound(catalog, empty_store, monkey
             _assert_blocks_match_oracle(CategoryData(ring=ring, F=data.F, R=data.R))
 
 
+# --- witnesses, built again from the cell of one instance ------------------------
+
+
+def _witness_checks(totals):
+    """Instances to look up: all of them up to 4000, else the first and last instance of
+    400 cells with instances, drawn with a fixed seed, and the last instance of all."""
+    if totals[-1] <= 4000:
+        return range(int(totals[-1]))
+    ends = np.unique(totals[totals > 0])  # the total at the end of each cell with instances
+    starts = np.concatenate([[0], ends[:-1]])
+    pick = np.random.default_rng(0).choice(len(ends), 400, replace=False)
+    return sorted({*starts[pick].tolist(), *(ends[pick] - 1).tolist(), int(totals[-1]) - 1})
+
+
+@pytest.mark.parametrize("name", BLOCK_DATA)
+def test_every_witness_lookup_matches_the_oracle(catalog, name):
+    ring = rep_a4_ring() if name == "rep_a4" else catalog[name].ring
+    for identity in ("pentagon", "hexagon"):
+        want = reference.concatenated(reference.unblocked_tables(ring, identity))[0]
+        totals = category_data._cell_totals(ring, identity)
+        assert totals[-1] == len(want)
+        for instance in _witness_checks(totals):
+            got = category_data._witness(ring, identity, instance)
+            assert got == tuple(want[instance].tolist()), (identity, instance)
+    assert category_data._witness(ring, "pentagon", None) == ()
+
+
+def _array_bytes(value):
+    """The bytes of every array in a nest of tuples and lists."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, (tuple, list)):
+        return sum(map(_array_bytes, value))
+    return 0
+
+
+def test_plan_entries_count_every_array(empty_store):
+    data = make("su2_level", level=8)
+    category_data.coherence_summary(data)
+    plan = _plan(data.ring)
+    for name in ("pentagon", "hexagon", "pentagon totals", "hexagon totals"):
+        value, size = plan[name]
+        assert size == _array_bytes(value) > 0, name
+    assert plan["pentagon"][1] == 5_981_782  # 8_632_507 with a table of witness labels
+    assert all(len(block) == 3 and isinstance(block[0], int) for block in plan["pentagon"][0])
+
+
 # --- index types, and blocks past 2^16 instances --------------------------------
 
 
@@ -329,16 +377,21 @@ def _su2_ring(k):
     return FusionRing([str(x) for x in range(k + 1)], range(k + 1), N)
 
 
-def _assert_same_rows(blocks, chunks):
-    for got, want in zip(reference.concatenated(blocks), reference.concatenated(chunks)):
-        assert np.array_equal(got, want)
+def _assert_same_rows(ring, identity):
+    """The package's tables, with the label rows built again from the cells, equal the
+    oracle's."""
+    got = reference.concatenated(reference.labelled_blocks(ring, identity))
+    want = reference.concatenated(reference.unblocked_tables(ring, identity))
+    for got_table, want_table in zip(got, want, strict=True):
+        assert np.array_equal(got_table, want_table)
 
 
-def _assert_same_sums(blocks, chunks, vals):
+def _assert_same_sums(ring, identity, vals):
+    blocks, chunks = _coherence_tables(ring, identity), reference.unblocked_tables(ring, identity)
     got = np.concatenate([category_data._residuals(vals, block) for block in blocks])
     want = np.concatenate([reference.residuals(vals, chunk) for chunk in chunks])
     assert got.tobytes() == want.tobytes()
-    assert repr(category_data._worst_instance(blocks, vals)) == repr(
+    assert repr(category_data._worst_instance(ring, identity, vals)) == repr(
         reference.worst_instance(chunks, vals))
 
 
@@ -360,12 +413,11 @@ def test_a_block_past_2_16_instances_gets_the_wider_type(empty_store, monkeypatc
     lay = category_data._layout(ring)
     assert lay.size < 1 << 16  # only the instance index needs 32 bits
     blocks = _coherence_tables(ring, "pentagon")
-    wide = [len(w) > 1 << 16 for w, _, _ in blocks]
+    wide = [n > 1 << 16 for n, _, _ in blocks]
     assert any(wide)
     assert [lhs.dtype == rhs.dtype == np.uint32 for _, lhs, rhs in blocks] == wide
-    chunks = reference.unblocked_tables(ring, "pentagon")
-    _assert_same_rows(blocks, chunks)
-    _assert_same_sums(blocks, chunks, _random_values(lay, 5))
+    _assert_same_rows(ring, "pentagon")
+    _assert_same_sums(ring, "pentagon", _random_values(lay, 5))
 
 
 def test_offsets_past_2_16_get_the_wider_type(empty_store):
@@ -374,9 +426,8 @@ def test_offsets_past_2_16_get_the_wider_type(empty_store):
     assert lay.f_size > 1 << 16  # every R offset is past 2**16
     blocks = _coherence_tables(ring, "hexagon")
     assert {(lhs.dtype, rhs.dtype) for _, lhs, rhs in blocks} == {(np.dtype(np.uint32),) * 2}
-    chunks = reference.unblocked_tables(ring, "hexagon")
-    _assert_same_rows(blocks, chunks)
-    _assert_same_sums(blocks, chunks, _random_values(lay, 3))
+    _assert_same_rows(ring, "hexagon")
+    _assert_same_sums(ring, "hexagon", _random_values(lay, 3))
 
 
 def test_a_label_past_2_16_instances_is_built_in_16_bit_blocks(empty_store):
@@ -386,7 +437,7 @@ def test_a_label_past_2_16_instances_is_built_in_16_bit_blocks(empty_store):
     assert per_label.max() > 1 << 16 and lay.size < 1 << 16
     blocks = _coherence_tables(ring, "pentagon")
     assert {(lhs.dtype, rhs.dtype) for _, lhs, rhs in blocks} == {(np.dtype(np.uint16),) * 2}
-    _assert_same_rows(blocks, reference.unblocked_tables(ring, "pentagon"))
+    _assert_same_rows(ring, "pentagon")
 
 
 @pytest.mark.parametrize("name", BLOCK_DATA)
@@ -396,8 +447,7 @@ def test_chunks_of_few_instances_match_the_unblocked_oracle(catalog, empty_store
     monkeypatch.setattr(category_data, "_BLOCK_INSTANCES", bound)
     variants = _variants(catalog, name)
     ring = _fresh(variants["plain"].ring)
-    blocks = _coherence_tables(ring, "pentagon")
-    _assert_same_rows(blocks, reference.unblocked_tables(ring, "pentagon"))
+    _assert_same_rows(ring, "pentagon")
     _assert_cuts_within_the_bound(ring, bound)
     for data in (variants["plain"], variants["bumped"]):
         _assert_blocks_match_oracle(CategoryData(ring=ring, F=data.F, R=data.R))
