@@ -376,10 +376,16 @@ def hexagon_residual(data: CategoryData, direction: str = "braid") -> tuple[floa
 # and evaluated in blocks: runs of consecutive (a,b,c,d) cells of the label grid
 # with at most _BLOCK_INSTANCES instances besides those of their first cell, cut
 # from the exact count of every cell, so cost and memory follow the instance
-# count; each block is stored in the narrowest index type.  A block keeps its
-# instance count and term tables, not the labels of its instances: the running
-# instance totals per cell, kept in the plan too, find the cell of the one worst
-# instance, and the labels of that cell alone are built again.
+# count.  A block keeps its instance count, its term tables and ``at``, not the
+# labels of its instances: the running instance totals per cell, kept in the plan
+# too, find the cell of the one worst instance, and the labels of that cell alone
+# are built again.  A term table holds no instance index: its instances are put in
+# block order, most lhs terms first and then most rhs terms, and its value offsets
+# pass-major, every instance's first term, then every second term, and so on.  A
+# pass then covers a few runs of consecutive instances, and the sum adds one slice
+# of products per run; ``at`` puts the residuals back in instance order.  Offsets
+# are stored in the narrowest type for the value array, ``at`` in the narrowest
+# for the block.
 #
 # Every cache below is kept in the ring's plan, which the process-wide store
 # shares among all rings of equal content (names, dual, N: what ``==``
@@ -529,9 +535,9 @@ def _hexagon_counts(N: np.ndarray) -> np.ndarray:
     return (g * f).reshape(m**4)
 
 
-def _index_type(*sizes: int) -> np.dtype:
-    """The narrowest unsigned type that holds an index below each of ``sizes``."""
-    return np.min_scalar_type(max(max(sizes) - 1, 0))
+def _index_type(size: int) -> np.dtype:
+    """The narrowest unsigned type that holds an index below ``size``."""
+    return np.min_scalar_type(max(size - 1, 0))
 
 
 class _Layout:
@@ -543,7 +549,7 @@ class _Layout:
     """
 
     def __init__(self, N: np.ndarray):
-        self.m = len(N)
+        self.m, self.multiple = len(N), bool(N.max(initial=0) > 1)
         rows = np.einsum("bce,aed->abcde", N, N)  # right-tree slots per channel e
         cols = np.einsum("abf,fcd->abcdf", N, N)  # left-tree slots per channel f
         ncols = cols.sum(axis=-1, keepdims=True)
@@ -565,16 +571,23 @@ class _Layout:
         """Offset of the F[key] entry of every row; key names six label columns."""
         a, b, c, d, e, f = key
         al, be, ga, de = (t[v] for v in (b + c + e, a + e + d, a + b + f, f + c + d))
-        a, b, c, d, e, f = (t[x].astype(np.int32) for x in key)
+        a, b, c, d, e, f = (t[x] for x in key)
         m, N, take = self.m, self.N, np.take  # take: faster than fancy indexing
-        abcd = ((a * m + b) * m + c) * m + d
-        row_band, col_band = abcd * m + e, abcd * m + f
-        offset = take(self.band, row_band)
-        offset = offset + take(self.rows, row_band) * take(self.col_start, col_band)
+        band = a.astype(np.int32)  # (((a m + b) m + c) m + d) m, in place
+        for x in (b, c, d):
+            band *= m
+            band += x
+        band *= m
+        row_band, col_band = band + e, band + f
+        offset = take(self.col_start, col_band)
+        if self.multiple:  # else a channel has one slot: every admissible row is 1
+            offset = offset * take(self.rows, row_band)
+        offset = offset + take(self.band, row_band)
         if al.any() or be.any():  # all zero without multiplicities
+            a, e = a.astype(np.int32), e.astype(np.int32)
             offset = offset + (al * take(N, (a * m + e) * m + d) + be) * take(self.cols, col_band)
         if ga.any() or de.any():
-            offset = offset + ga * take(N, (f * m + c) * m + d) + de
+            offset = offset + ga * take(N, (f.astype(np.int32) * m + c) * m + d) + de
         return offset
 
     def r(self, t, key: str) -> np.ndarray:
@@ -648,11 +661,8 @@ def _pentagon_block(N: np.ndarray, lay: _Layout, cells: slice) -> tuple:
     lhs = _vectors(N, _where(N, t, "rqw"), "rqw")
     rhs = _labels(t, "t", out(t["b"], t["c"]) & into(t["d"], t["p"]) & mid(t["a"], t["s"]))
     rhs = _vectors(N, rhs, "bct", "tdp", "ats")
-    return (
-        len(t["a"]),
-        _terms(lay, lhs, t, lay.f(lhs, "abqwpr"), lay.f(lhs, "rcdwqs")),
-        _terms(lay, rhs, t, lay.f(rhs, "bcdpqt"), lay.f(rhs, "atdwps"), lay.f(rhs, "abcstr")),
-    )
+    return _block(lay, t, (lhs, lay.f(lhs, "abqwpr"), lay.f(lhs, "rcdwqs")),
+                  (rhs, lay.f(rhs, "bcdpqt"), lay.f(rhs, "atdwps"), lay.f(rhs, "abcstr")))
 
 
 def _hexagon_instances(N: np.ndarray, cells: slice) -> _Table:
@@ -675,11 +685,8 @@ def _hexagon_block(N: np.ndarray, lay: _Layout, cells: slice) -> tuple:
     lhs = _labels(t, "h", out(t["b"], t["c"]) & into(t["a"], t["d"]) & mid(t["a"], t["d"]))
     lhs = _vectors(N, lhs, "bch", "had", "ahd")
     rhs = _vectors(N, _where(N, t, "acg", "baf"), "acg", "baf")
-    return (
-        len(t["a"]),
-        _terms(lay, lhs, t, lay.f(lhs, "bcadgh"), lay.r(lhs, "ahd"), lay.f(lhs, "abcdhf")),
-        _terms(lay, rhs, t, lay.r(rhs, "acg"), lay.f(rhs, "bacdgf"), lay.r(rhs, "abf")),
-    )
+    return _block(lay, t, (lhs, lay.f(lhs, "bcadgh"), lay.r(lhs, "ahd"), lay.f(lhs, "abcdhf")),
+                  (rhs, lay.r(rhs, "acg"), lay.f(rhs, "bacdgf"), lay.r(rhs, "abf")))
 
 
 class _Table:
@@ -771,13 +778,56 @@ def _small(col: np.ndarray) -> np.ndarray:
     return col.astype(np.min_scalar_type(col.max(initial=0)))
 
 
-def _terms(lay: _Layout, t: _Table, instances: _Table, *offsets: np.ndarray) -> np.ndarray:
-    """Rows: the instance of each term, then one value offset per factor, written straight
-    into the index type of the block: its instances and the entries of the value array."""
-    instance = t.rows_in(instances)
-    instance = np.arange(len(t["a"])) if instance is None else instance
-    index = _index_type(lay.size, len(instances["a"]))
-    return np.stack([instance, *offsets], dtype=index, casting="unsafe")  # every value fits
+def _block(lay: _Layout, instances: _Table, lhs: tuple, rhs: tuple) -> tuple:
+    """A block, (instance count, lhs, rhs, at), from its instances and per side the term
+    table and the value offset of each factor, in table order.
+
+    The block order of the instances puts those with most lhs terms first, then those
+    with most rhs terms, stable; ``at`` is the place of every instance in it (None: the
+    instance order).  A side is ``(offset rows, runs)``: the rows hold pass 0, the first
+    term of every instance that has one, in block order, then pass 1, every second term,
+    and so on; a run is a (start, stop) of block places that one pass covers, in row
+    order.  The instances with more than k terms of a side lead each group of equal lhs
+    count, so a pass is at most one run per group.
+    """
+    n = len(instances["a"])
+    counts = []
+    for t, *_ in (lhs, rhs):
+        instance = t.rows_in(instances)
+        counts.append(np.ones(n, np.intp) if instance is None else np.bincount(instance, None, n))
+    nl, nr = (count.max(initial=0) + 1 for count in counts)  # lhs counts < nl, rhs < nr
+    key = counts[0] * nr + counts[1]
+    order = at = None
+    if (key[1:] > key[:-1]).any():
+        last = nl * nr - 1
+        order = np.argsort((last - key).astype(_index_type(last + 1)), kind="stable")  # radix
+        at = np.empty(n, _index_type(n))
+        at[order] = np.arange(n)
+    # tally[g, j]: the instances of group g (equal lhs count, most first) with the j-th
+    # largest rhs count; the same table for lhs counts is diagonal
+    tally = np.bincount(key, None, nl * nr).reshape(nl, nr)[::-1, ::-1]
+    size = tally.sum(axis=1)
+    start = (np.cumsum(size) - size).tolist()  # the first place of every group
+    index, sides = _index_type(lay.size), []
+    for (_, *offsets), count, table in zip((lhs, rhs), counts, (np.diag(size), tally)):
+        # more[k][g]: the instances of group g with more than k terms, which lead the group
+        more = np.cumsum(table[:, :-1], axis=1)[:, ::-1].T.tolist()
+        first = np.zeros(n, np.intp)  # the first term of every instance
+        np.cumsum(count[:-1], out=first[1:])
+        first = first if order is None else np.take(first, order)
+        runs, parts = [], [first[:0]]  # no array to join for a side without terms
+        for k, row in enumerate(more):
+            for place, length in zip(start, row):
+                if length:
+                    part = first[place : place + length]  # the k-th terms of these places
+                    parts.append(part + k if k else part)
+                    if runs and runs[-1][1] == place:  # adjacent: one run
+                        runs[-1] = runs[-1][0], place + length
+                    else:
+                        runs.append((place, place + length))
+        rows = np.stack(offsets, dtype=index, casting="unsafe")  # every offset fits
+        sides.append((np.take(rows, np.concatenate(parts), axis=1), runs))
+    return n, *sides, at
 
 
 def _f_values(data: CategoryData) -> np.ndarray:
@@ -819,29 +869,42 @@ def _inverse(stack: np.ndarray) -> np.ndarray:
         return np.concatenate([_inverse(stack[i : i + 1]) for i in range(len(stack))])
 
 
-def _sum(vals: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
-    """Per instance, the sum of its terms in term order.
+def _sum(vals: np.ndarray, side: tuple, n: int) -> np.ndarray:
+    """Per instance, in block order, the sum of its terms in table order.
 
     The factors are multiplied left to right into new arrays by ``np.multiply``.
     A complex product can round differently when its operands are swapped or
     when it is written over one of them, and the ``*`` operator does both with a
     temporary of 256 KB or more, so a product would depend on the table's size.
-    One scatter-add sums in table order; a sum that is not finite is rebuilt from its
-    parts, so an infinite imaginary part makes the real part NaN.
+    The products are pass-major (``_block``), so each run of a pass adds one slice
+    of them to a slice of the zeroed sums: every instance adds its terms in table
+    order, ((0 + t0) + t1) + t2, with no instance index and no scatter.
     """
-    instance, *offsets = terms
+    offsets, runs = side
     product = np.take(vals, offsets[0])
     for offset in offsets[1:]:
         product = np.multiply(product, np.take(vals, offset))
-    out = np.zeros(n, dtype=complex)
-    np.add.at(out, instance, product)
-    return out if np.isfinite(out).all() else out.real + 1j * out.imag
+    out, k = np.zeros(n, dtype=complex), 0
+    for start, stop in runs:
+        out[start:stop] += product[k : k + stop - start]
+        k += stop - start
+    return out
 
 
 def _residuals(vals: np.ndarray, block: tuple) -> np.ndarray:
-    """|sum lhs - sum rhs| of every instance of a block."""
-    n, lhs, rhs = block
-    return np.abs(_sum(vals, lhs, n) - _sum(vals, rhs, n))
+    """|sum lhs - sum rhs| of every instance of a block, in instance order.
+
+    A side whose sums are not all finite is rebuilt as ``real + 1j * imag``, so an
+    infinite imaginary part makes the real part NaN.  A finite residual has finite sums
+    on both sides, so the sides are looked at only when a residual is not finite.
+    """
+    n, lhs, rhs, at = block
+    sums = _sum(vals, lhs, n), _sum(vals, rhs, n)
+    residual = np.abs(sums[0] - sums[1])
+    if not np.isfinite(residual).all():
+        lhs, rhs = (s if np.isfinite(s).all() else s.real + 1j * s.imag for s in sums)
+        residual = np.abs(lhs - rhs)
+    return residual if at is None else np.take(residual, at)
 
 
 def _worst(ring: FusionRing, identity: str, vals: np.ndarray) -> tuple[float, int | None]:

@@ -39,6 +39,7 @@ from .category_data import (
     _cached,
     _flat,
     _inverse_unit_checks,
+    _key_labels,
     _ring_ok,
     _stacked,
     _stacked_on,
@@ -56,6 +57,7 @@ CHECK_NAMES = ("pentagon", "hexagon", "triangle", "ribbon", "rigidity", "modular
 _KERNEL_FLOATS = 1500  # a table of fewer floats is written by repr, one by one
 _ROWS = 2048  # rows whose floats the kernel writes at once
 _SEPARATOR = np.frombuffer(b",\n   ", dtype=np.uint8)  # of a row's re and im
+_PARTS = np.frombuffer(b"%s,\n   %s", dtype=np.uint8)  # a row's re and im in a text template
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +163,7 @@ def _table_text(ring: FusionRing, table: dict, kind: str):
         return
     values = _flat(ring, table, kind).view(float)  # re, im of every entry
     split = values.size >= _KERNEL_FLOATS
-    template = _cached(ring, f"{kind} rows", lambda: _row_template(keys, shapes, split))
+    template = _cached(ring, f"{kind} rows", lambda: _row_template(ring, kind, split))
     if isinstance(template, str):
         texts = values.tolist()
         for i in np.flatnonzero(~np.isfinite(values)).tolist():
@@ -181,31 +183,38 @@ def _table_text(ring: FusionRing, table: dict, kind: str):
     yield tail
 
 
-def _row_template(keys: list, shapes: list, split: bool):
-    """The text of a table of the sorted ``keys`` with blocks of ``shapes``, with ``%s`` in
-    place of every real and imaginary part; ``split``, as the text of each row before its
-    two parts, right-aligned and padded with NUL in a uint8 array, and the text after the
-    last row."""
-    key_row = ",\n   ".join(["%s"] * len(keys[0]))
-    mult_texts = {  # the 1-based multiplicity indices of every entry, once per shape
-        shape: [",\n   ".join(str(i + 1) for i in idx) for idx in np.ndindex(shape)]
-        for shape in set(shapes)
-    }
-    per_block = [mult_texts[shape] for shape in shapes]
-    rows = map(
-        "  [\n   {},\n   {},\n   %s,\n   %s\n  ]".format,
-        itertools.chain.from_iterable(
-            map(itertools.repeat, map(key_row.__mod__, keys), map(len, per_block))
-        ),
-        itertools.chain.from_iterable(per_block),
-    )
-    text = "[\n" + ",\n".join(rows) + "\n ]"
-    if not split:
-        return text
-    parts = text.split("%s,\n   %s")
-    width = max(map(len, parts[:-1]))
-    heads = b"".join(part.encode().rjust(width, b"\0") for part in parts[:-1])
-    return np.frombuffer(heads, dtype=np.uint8).reshape(-1, width), parts[-1]
+def _row_template(ring: FusionRing, kind: str, split: bool):
+    """The text of the table of the admissible F or R keys, with ``%s`` in place of every
+    real and imaginary part; ``split``, as the text of each row before its two parts in a
+    uint8 array, NUL where a row is shorter, and the text after the last row.
+
+    A head is the row's opening, then every key label and 1-based multiplicity index with
+    ",\n   " after it.  Every number is written in one width of digits, NUL in front where
+    it has fewer, and the first row's shorter opening has NUL in front too.
+    """
+    labels = _key_labels(ring, kind)
+    dims = [ring.N[tuple(labels[i] for i in vertex)] for vertex in _BLOCK_VERTICES[kind][1]]
+    size = np.prod(dims, axis=0)  # entries per block
+    place = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)  # in its block
+    index = []
+    for dim in reversed(dims):  # C order: the last index runs fastest
+        dim = np.repeat(dim, size)
+        index.append(place % dim + 1)
+        place = place // dim
+    numbers = np.concatenate([np.repeat(labels, size, axis=1), index[::-1]]).T[..., None]
+    width = len(str(numbers.max(initial=0)))
+    power = 10 ** np.arange(width)[::-1]
+    fields = np.empty((*numbers.shape[:2], width + len(_SEPARATOR)), dtype=np.uint8)
+    fields[..., :width] = np.where((numbers >= power) | (power == 1), 48 + numbers // power % 10, 0)
+    fields[..., width:] = _SEPARATOR
+    opening = np.tile(np.frombuffer(b"\n  ],\n  [\n   ", dtype=np.uint8), (len(fields), 1))
+    opening[:1] = np.frombuffer(b"\0\0\0\0[\n  [\n   ", dtype=np.uint8)
+    heads = np.concatenate([opening, fields.reshape(len(fields), -1)], axis=1)  # [row, char]
+    tail = "\n  ]\n ]"
+    if split:
+        return heads, tail
+    rows = np.concatenate([heads, np.broadcast_to(_PARTS, (len(heads), len(_PARTS)))], axis=1)
+    return str(rows[rows != 0].data, "ascii") + tail
 
 
 def save(data: CategoryData, path) -> None:

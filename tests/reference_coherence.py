@@ -26,7 +26,8 @@ the tables of each leading label whole, and ``residuals`` and
 whole instances that the package evaluates; ``concatenated`` joins either
 into one table whose terms count their instance from the first of all.
 ``labelled_blocks`` gives the package's blocks their label rows back, built
-again by the package from each block's cells, for comparison with the rows of
+again by the package from each block's cells, and their terms back in table
+order with an instance row (``table_order``), for comparison with the rows of
 ``unblocked_tables``.
 """
 
@@ -504,10 +505,11 @@ def concatenated(tables):
 
 
 def labelled_blocks(ring, identity):
-    """The package's blocks of an identity with the label rows of their instances in place
-    of the instance count: each block's rows built again by the package's own instance
-    builder from the cells of its first to its last instance, found from the running
-    instance totals per cell by ``searchsorted``, as the package finds a witness."""
+    """The package's blocks of an identity in the shape of ``unblocked_tables``: each block's
+    label rows built again by the package's own instance builder from the cells of its first
+    to its last instance, found from the running instance totals per cell by
+    ``searchsorted``, as the package finds a witness; each side's terms put back in table
+    order with their instance row, by ``table_order``."""
     from mtcat import category_data as cd
 
     if identity == "pentagon":
@@ -515,9 +517,27 @@ def labelled_blocks(ring, identity):
     else:
         build, labels = cd._hexagon_instances, "abcdgf"
     totals, out, first = cd._cell_totals(ring, identity), [], 0
-    for n, lhs, rhs in cd._coherence_tables(ring, identity):
+    for n, lhs, rhs, at in cd._coherence_tables(ring, identity):
         start, last = np.searchsorted(totals, [first, first + n - 1], side="right").tolist()
         t = build(ring.N, slice(start, last + 1))
-        out.append((np.stack([t[x] for x in labels], axis=1), lhs, rhs))
+        out.append((np.stack([t[x] for x in labels], axis=1), table_order(lhs, at, n),
+                    table_order(rhs, at, n)))
         first += n
     return out
+
+
+def table_order(side, at, n):
+    """A side of a package block as the instance row and the offset rows of its terms in
+    table order.
+
+    The runs, read in order, give the block place of every term in the order of the
+    offset rows; ``at`` turns a place back into its instance.  A stable sort by instance
+    then keeps the terms of one instance in the order the package adds them.
+    """
+    offsets, runs = side
+    place = np.concatenate([np.arange(start, stop) for start, stop in runs] + [np.zeros(0, int)])
+    assert len(place) == offsets.shape[1] and all(0 <= s < e <= n for s, e in runs)
+    assert at is None or np.array_equal(np.sort(at), np.arange(n))  # a permutation
+    instance = place if at is None else np.argsort(at)[place]
+    order = np.argsort(instance, kind="stable")
+    return np.vstack([instance[order], offsets[:, order]])

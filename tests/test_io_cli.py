@@ -150,6 +150,25 @@ def test_dumps_row_template_follows_the_layout(catalog, name):
     assert dumps(a) == _canonical(a) != first
 
 
+def test_dumps_writes_numbers_of_two_digits():
+    # row heads whose labels or multiplicity indices have one or two digits, on tables
+    # large enough for the float kernel
+    z12 = make("pointed_zn", n=12, q_exponent=1)  # labels 0..11
+    N = np.zeros((2, 2, 2), dtype=int)
+    N[0, 0, 0] = N[0, 1, 1] = N[1, 0, 1] = N[1, 1, 0] = 1
+    N[1, 1, 1] = 10  # x * x = 1 + 10 x: indices 1..10
+    ring = FusionRing(["1", "x"], [0, 1], N)
+    rng = np.random.default_rng(0)
+    shapes = {"F": category_data.f_block_shape, "R": lambda r, a, b, c: (N[a, b, c], N[b, a, c])}
+    tables = {kind: {key: rng.standard_normal(shapes[kind](ring, *key)) + 0j for key in keys}
+              for kind, keys in (("F", category_data.admissible_f_keys(ring)),
+                                 ("R", category_data.admissible_r_keys(ring)))}
+    multiple = CategoryData(ring=ring, F=tables["F"], R=tables["R"])
+    for data in (z12, multiple):
+        assert len(data.F) and sum(block.size for block in data.F.values()) >= 750
+        assert dumps(data) == _canonical(data)
+
+
 def test_content_hash_pinned(catalog):
     # digests of the canonical text as json.dumps(indent=1, sort_keys=True) wrote it
     assert content_hash(catalog["fibonacci"]) == (

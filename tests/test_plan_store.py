@@ -242,9 +242,9 @@ def test_overflow_variant_reaches_inf_and_nan(catalog, name):
     with np.errstate(over="ignore", invalid="ignore"):
         for identity, values in _values(data).items():
             for vals in values:
-                for n, lhs, rhs in _coherence_tables(data.ring, identity):
-                    residuals.append(category_data._residuals(vals, (n, lhs, rhs)))
-                    sums += [category_data._sum(vals, t, n) for t in (lhs, rhs)]
+                for n, lhs, rhs, at in _coherence_tables(data.ring, identity):
+                    residuals.append(category_data._residuals(vals, (n, lhs, rhs, at)))
+                    sums += [category_data._sum(vals, side, n) for side in (lhs, rhs)]
     residuals, sums = np.concatenate(residuals), np.concatenate(sums)
     assert np.isfinite(residuals).any() and np.isinf(residuals).any() and np.isnan(residuals).any()
     assert (np.isinf(sums.real) & np.isnan(sums.imag)).any() or (
@@ -346,6 +346,52 @@ def test_every_witness_lookup_matches_the_oracle(catalog, name):
     assert category_data._witness(ring, "pentagon", None) == ()
 
 
+def _passes(runs):
+    """The runs of a side split into its passes: within a pass the runs rise and are not
+    adjacent, and the next pass starts at or before the last run's start."""
+    passes = [[]]
+    for run in runs:
+        if passes[-1] and run[0] < passes[-1][-1][1]:
+            passes.append([])
+        passes[-1].append(run)
+    return passes
+
+
+def test_rep_a4_blocks_are_reordered_and_passes_split_into_runs():
+    data = random_rep_a4_data(7)
+    for identity in ("pentagon", "hexagon"):
+        blocks = _coherence_tables(data.ring, identity)
+        assert all(at is not None for _, _, _, at in blocks), identity
+        split = [len(runs) for _, lhs, rhs, _ in blocks for _, runs in (lhs, rhs)
+                 for runs in _passes(runs)]
+        assert max(split) >= 2, identity
+    _assert_blocks_match_oracle(data)  # bit for bit
+
+
+@pytest.mark.parametrize("name", ["su2_k5", "rep_a4"])
+def test_ties_name_the_first_instance_in_any_block_order(catalog, name):
+    # all-zero values tie every instance: the witness is the first instance, not the
+    # first place of the block order
+    ring = rep_a4_ring() if name == "rep_a4" else catalog[name].ring
+    zeros = np.zeros(category_data._layout(ring).size, dtype=complex)
+    for identity in ("pentagon", "hexagon"):
+        assert _coherence_tables(ring, identity)[0][3] is not None, identity  # reordered
+        first = reference.unblocked_tables(ring, identity)[0][0][0]
+        assert category_data._worst_instance(ring, identity, zeros) == (0.0, tuple(first.tolist()))
+
+
+def test_exact_data_names_the_first_instance():
+    data = make("pointed_zn", n=4, q_exponent=0)  # every residual exactly 0
+    summary = category_data.coherence_summary(data)
+    first = {identity: tuple(reference.unblocked_tables(data.ring, identity)[0][0][0].tolist())
+             for identity in ("pentagon", "hexagon")}
+    assert category_data.pentagon_residual(data) == (0.0, first["pentagon"])
+    assert category_data.hexagon_residual(data, "inverse_braid") == (0.0, first["hexagon"])
+    assert summary["pentagon"] == summary["hexagon_braid"] == summary["hexagon_inverse"] == 0.0
+    assert summary["pentagon_worst"] == first["pentagon"]
+    assert summary["hexagon_braid_worst"] == summary["hexagon_inverse_worst"] == first["hexagon"]
+
+
 def _array_bytes(value):
     """The bytes of every array in a nest of tuples and lists."""
     if isinstance(value, np.ndarray):
@@ -362,8 +408,9 @@ def test_plan_entries_count_every_array(empty_store):
     for name in ("pentagon", "hexagon", "pentagon totals", "hexagon totals"):
         value, size = plan[name]
         assert size == _array_bytes(value) > 0, name
-    assert plan["pentagon"][1] == 5_981_782  # 8_632_507 with a table of witness labels
-    assert all(len(block) == 3 and isinstance(block[0], int) for block in plan["pentagon"][0])
+    # 5_981_782 with an instance row per term, 8_632_507 with a table of witness labels too
+    assert plan["pentagon"][1] == 4_923_848
+    assert all(len(block) == 4 and isinstance(block[0], int) for block in plan["pentagon"][0])
 
 
 # --- index types, and blocks past 2^16 instances --------------------------------
@@ -400,11 +447,19 @@ def _random_values(lay, seed):
     return rng.standard_normal(lay.size) + 1j * rng.standard_normal(lay.size)
 
 
+def _types(blocks):
+    """The types of the offset rows, as (lhs, rhs), and of ``at`` where a block has one."""
+    return ({(lhs[0].dtype, rhs[0].dtype) for _, lhs, rhs, _ in blocks},
+            {at.dtype for _, _, _, at in blocks if at is not None})
+
+
+U16, U32 = np.dtype(np.uint16), np.dtype(np.uint32)
+
+
 def test_index_type_holds_every_index():
     index = category_data._index_type
     assert index(1) == index(256) == np.uint8 and index(257) == np.uint16
-    assert index(1 << 16) == index(300, 1 << 16) == np.uint16
-    assert index((1 << 16) + 1) == index(300, (1 << 16) + 1) == np.uint32
+    assert index(1 << 16) == np.uint16 and index((1 << 16) + 1) == np.uint32
 
 
 def test_a_block_past_2_16_instances_gets_the_wider_type(empty_store, monkeypatch):
@@ -413,9 +468,11 @@ def test_a_block_past_2_16_instances_gets_the_wider_type(empty_store, monkeypatc
     lay = category_data._layout(ring)
     assert lay.size < 1 << 16  # only the instance index needs 32 bits
     blocks = _coherence_tables(ring, "pentagon")
-    wide = [n > 1 << 16 for n, _, _ in blocks]
+    wide = [n > 1 << 16 for n, _, _, _ in blocks]
     assert any(wide)
-    assert [lhs.dtype == rhs.dtype == np.uint32 for _, lhs, rhs in blocks] == wide
+    assert all(at is not None for _, _, _, at in blocks)
+    assert [at.dtype == U32 for _, _, _, at in blocks] == wide
+    assert _types(blocks) == ({(U16, U16)}, {U16, U32})  # the offsets stay 16-bit
     _assert_same_rows(ring, "pentagon")
     _assert_same_sums(ring, "pentagon", _random_values(lay, 5))
 
@@ -425,7 +482,7 @@ def test_offsets_past_2_16_get_the_wider_type(empty_store):
     lay = category_data._layout(ring)
     assert lay.f_size > 1 << 16  # every R offset is past 2**16
     blocks = _coherence_tables(ring, "hexagon")
-    assert {(lhs.dtype, rhs.dtype) for _, lhs, rhs in blocks} == {(np.dtype(np.uint32),) * 2}
+    assert _types(blocks) == ({(U32, U32)}, {U16})  # the places of a block need no more
     _assert_same_rows(ring, "hexagon")
     _assert_same_sums(ring, "hexagon", _random_values(lay, 3))
 
@@ -436,7 +493,7 @@ def test_a_label_past_2_16_instances_is_built_in_16_bit_blocks(empty_store):
     per_label = category_data._pentagon_counts(ring.N).reshape(ring.size, -1).sum(axis=1)
     assert per_label.max() > 1 << 16 and lay.size < 1 << 16
     blocks = _coherence_tables(ring, "pentagon")
-    assert {(lhs.dtype, rhs.dtype) for _, lhs, rhs in blocks} == {(np.dtype(np.uint16),) * 2}
+    assert _types(blocks) == ({(U16, U16)}, {U16})
     _assert_same_rows(ring, "pentagon")
 
 
@@ -458,5 +515,5 @@ def test_su2_k8_pentagon_plan_is_16_bit_and_built_once(empty_store, pentagon_bui
     blocks = _coherence_tables(ring, "pentagon")
     _coherence_tables(ring, "pentagon")
     assert _tile_the_cells_once(pentagon_builds, ring)
-    assert {(lhs.dtype, rhs.dtype) for _, lhs, rhs in blocks} == {(np.dtype(np.uint16),) * 2}
+    assert _types(blocks) == ({(U16, U16)}, {U16})
     assert _plan(ring)["pentagon"][1] <= 9.0e6  # int32 tables: 14.61 MB
