@@ -41,6 +41,9 @@ RKey = tuple[int, int, int]  # (a, b, c)
 FSymbols = dict  # FKey -> complex ndarray (N[b,c,e], N[a,e,d], N[a,b,f], N[f,c,d])
 RSymbols = dict  # RKey -> complex ndarray (N[a,b,c], N[b,a,c])
 
+_COND_TOL = 1e-12  # singular: least singular value <= this * max(largest, 1); F, R and gauges
+_RIGIDITY_TOL = 1e-12  # a unit-channel fusing element of smaller modulus is taken as zero
+
 
 def f_block_shape(ring: FusionRing, a, b, c, d, e, f):
     N = ring.N
@@ -123,7 +126,7 @@ class CategoryData:
         )
 
 
-def validate_symbols(data: CategoryData, cond_tol: float = 1e-12) -> list[tuple]:
+def validate_symbols(data: CategoryData) -> list[tuple]:
     """Check F/R key sets match admissibility, shapes, and invertibility.
 
     Returns a list of (kind, key, message) problems; empty means consistent.
@@ -152,7 +155,7 @@ def validate_symbols(data: CategoryData, cond_tol: float = 1e-12) -> list[tuple]
     for shape in {data.R[k].shape for k in square}:  # one SVD call per block shape
         group = [k for k in square if data.R[k].shape == shape]
         stack = np.stack([data.R[k] for k in group])
-        singular_r.update(compress(group, _singular(stack, cond_tol)))
+        singular_r.update(compress(group, _singular(stack)))
     for key, shape in present:
         block = data.R[key]
         if block.shape != shape:
@@ -162,17 +165,17 @@ def validate_symbols(data: CategoryData, cond_tol: float = 1e-12) -> list[tuple]
     if not problems:
         singular_f = []  # raveled (a,b,c,d)
         for abcd, mats in _fusing_matrices(ring, _f_values(data)):
-            singular_f += abcd[_singular(mats, cond_tol)].tolist()
+            singular_f += abcd[_singular(mats)].tolist()
         for x in sorted(singular_f):
             key = tuple(int(i) for i in np.unravel_index(x, (ring.size,) * 4))
             problems.append(("singular-F", key, "fusing matrix is not invertible"))
     return problems
 
 
-def _singular(mats: np.ndarray, cond_tol: float) -> np.ndarray:
+def _singular(mats: np.ndarray) -> np.ndarray:
     """Which matrices of a stack are not invertible, by their singular values."""
     sv = np.linalg.svd(mats, compute_uv=False)
-    return sv[:, -1] <= cond_tol * np.maximum(sv[:, 0], 1.0)
+    return sv[:, -1] <= _COND_TOL * np.maximum(sv[:, 0], 1.0)
 
 
 @dataclass
@@ -219,7 +222,7 @@ def _tree_channels(ring: FusionRing, a, b, c, d) -> tuple[list, list]:
     return es, fs
 
 
-def rigidity_scalar(data: CategoryData, a, tol: float = 1e-12) -> complex:
+def rigidity_scalar(data: CategoryData, a) -> complex:
     """Unit-to-unit element of the fusing matrix of (a, dual(a), a, a).
 
     This is the scalar by which the zig-zag duality composites act; it is
@@ -231,7 +234,7 @@ def rigidity_scalar(data: CategoryData, a, tol: float = 1e-12) -> complex:
     if a not in elements:
         raise RigidityDegenerate(f"label {a} has no unit channel with its dual")
     value = elements[a]
-    if abs(value) < tol:
+    if abs(value) < _RIGIDITY_TOL:
         raise RigidityDegenerate(
             f"unit-channel fusing element for label {a} has modulus {abs(value):.3e}"
         )
@@ -836,16 +839,20 @@ def _f_values(data: CategoryData) -> np.ndarray:
 
 
 def _with_r(data: CategoryData, f: np.ndarray, direction: str) -> np.ndarray:
-    """The F entries ``f``, then the R entries for ``direction``, flat in ``_Layout`` order.
-    A braiding needs a commutative ring: InputError names the first (a, b, c) where
-    N[a,b,c] != N[b,a,c]."""
-    N = data.ring.N
+    """The F entries ``f``, then the R entries for ``direction``, flat in ``_Layout`` order."""
+    _check_commutative(data.ring)
+    return np.concatenate([f, _flat(data.ring, data.R, "R", direction != "braid")])
+
+
+def _check_commutative(ring: FusionRing):
+    """A braiding needs a commutative ring: InputError names the first (a, b, c) where
+    N[a,b,c] != N[b,a,c].  The hexagons and ``ribbon_modular._derive`` check it first."""
+    N = ring.N
     bad = np.argwhere(N != N.transpose(1, 0, 2))
     if len(bad):
         a, b, c = bad[0].tolist()
         raise InputError(f"fusion ring is not commutative: N[{a},{b},{c}] = {N[a, b, c]} but "
                          f"N[{b},{a},{c}] = {N[b, a, c]}, and a braiding needs a commutative ring")
-    return np.concatenate([f, _flat(data.ring, data.R, "R", direction != "braid")])
 
 
 def _flat(ring: FusionRing, table: dict, kind: str, invert: bool = False) -> np.ndarray:
@@ -965,7 +972,7 @@ class GaugeTransform:
             return np.eye(int(self.ring.N[a, b, c]), dtype=complex)
         return np.asarray(g, dtype=complex)
 
-    def validate(self, cond_tol: float = 1e-12):
+    def validate(self):
         """Raise InputError for the first matrix, in dict order, that is not a valid gauge.
 
         The matrices are checked with one SVD per size; only a flagged vertex is
@@ -984,11 +991,11 @@ class GaugeTransform:
             stack = np.stack([mats[i] for i in pick])
             finite = np.isfinite(stack).all(axis=(1, 2))  # the SVD of the others may raise
             invertible = np.zeros(len(pick), dtype=bool)
-            invertible[finite] = ~_singular(stack[finite], cond_tol)
+            invertible[finite] = ~_singular(stack[finite])
             pinned = np.isclose(stack, np.eye(size), atol=1e-14).all(axis=(1, 2))
             flagged[pick] = ~invertible | (unit[pick] & ~pinned)
         for i in np.flatnonzero(flagged).tolist():
-            _check_gauge_matrix(self.ring, keys[i], mats[i], cond_tol)
+            _check_gauge_matrix(self.ring, keys[i], mats[i])
 
 
 def _gauge_labels(ring: FusionRing, keys: list) -> np.ndarray:
@@ -1011,7 +1018,7 @@ def _gauge_labels(ring: FusionRing, keys: list) -> np.ndarray:
     return np.array(keys, dtype=np.intp).reshape(-1, 3)
 
 
-def _check_gauge_matrix(ring: FusionRing, key, g: np.ndarray, cond_tol: float):
+def _check_gauge_matrix(ring: FusionRing, key, g: np.ndarray):
     """Raise InputError when ``g`` is not a valid gauge matrix on vertex ``key``."""
     a, b, c = key
     n = int(ring.N[a, b, c])
@@ -1020,7 +1027,7 @@ def _check_gauge_matrix(ring: FusionRing, key, g: np.ndarray, cond_tol: float):
     if g.shape != (n, n):
         raise InputError(f"gauge on ({a},{b},{c}) has shape {g.shape}, expected ({n},{n})")
     sv = np.linalg.svd(g, compute_uv=False)
-    if sv[-1] <= cond_tol * max(sv[0], 1.0):
+    if sv[-1] <= _COND_TOL * max(sv[0], 1.0):
         raise InputError(f"gauge matrix on ({a},{b},{c}) is not invertible")
     if _unit_triples(ring, a, b, c) and not np.allclose(g, np.eye(n), atol=1e-14):
         raise InputError(f"gauge on unit triple ({a},{b},{c}) must be the identity")
@@ -1075,7 +1082,7 @@ def gauge_transform(data: CategoryData, gauge: GaugeTransform) -> CategoryData:
         eye = np.eye(n, dtype=complex)
         g[n] = np.array([eye if given[i] is None else given[i] for i in pick], dtype=complex)
         gi[n] = np.linalg.inv(g[n])  # each vertex inverted once
-    f_stacks, r_stacks = (zip(_whole_stacks(ring, table, kind), _stacking(ring, kind).groups)
+    f_stacks, r_stacks = (zip(_table_stacks(ring, table, kind), _stacking(ring, kind).groups)
                           for kind, table in (("F", data.F), ("R", data.R)))
     F = [
         np.einsum("xij,xkl,xjlmn,xmo,xnp->xikop", g[n1][s1], g[n2][s2], x, gi[n3][s3], gi[n4][s4])
@@ -1237,9 +1244,10 @@ def _stacked(ring: FusionRing, kind: str, order, stacks: list) -> _Stacked:
 
 
 def _table_stacks(ring: FusionRing, table: dict, kind: str) -> list:
-    """The stacks of an F or R table: a stacked table's own; any other's gathered from its
-    admissible keys, any other key ignored.  The first missing key in admissible order raises
-    IncompleteData, as ``f_block`` does; a block of the wrong shape raises InputError."""
+    """The stacks of an F or R table, as every reader and the writer take it: a stacked table's
+    own; any other's gathered from its keys, exactly the admissible ones.  The first missing key
+    in admissible order raises IncompleteData, as ``f_block`` does; then the first other key, in
+    the table's order, and a block of the wrong shape raise InputError."""
     if _stacked_on(ring, table, kind):
         return table.stacks
     stacking = _stacking(ring, kind)
@@ -1247,17 +1255,13 @@ def _table_stacks(ring: FusionRing, table: dict, kind: str) -> list:
         blocks = list(map(table.__getitem__, stacking.admissible))
     except KeyError as exc:
         raise IncompleteData(exc.args[0], kind=kind) from None
+    if len(table) != len(blocks):  # every admissible key is there, so some other key is too
+        admissible = set(stacking.admissible)
+        key = next(key for key in table if key not in admissible)
+        raise InputError(f"{kind} entry present for inadmissible tuple {key!r}")
     if [block.shape for block in blocks] != stacking.shapes:
         raise InputError("F/R blocks do not have their admissible shapes")
     return [np.stack([blocks[i] for i in at.tolist()]) for _, _, _, at in stacking.groups]
-
-
-def _whole_stacks(ring: FusionRing, table: dict, kind: str) -> list:
-    """The stacks of an F or R table that has every admissible key and no other (InputError)."""
-    stacks = _table_stacks(ring, table, kind)
-    if not _stacked_on(ring, table, kind) and len(table) != len(_stacking(ring, kind).shapes):
-        raise InputError("F/R blocks do not have their admissible shapes")
-    return stacks
 
 
 def _copied(ring: FusionRing, table: dict, kind: str) -> dict:

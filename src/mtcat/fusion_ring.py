@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ComputationError, DegenerateSMatrix, InputError
 
 UNIT = 0
+_GUARD_TOL = 1e-12  # smallest |det S| and |S[e,x]| that verlinde_coefficients divides by
 
 
 @dataclass(frozen=True)
@@ -234,7 +235,7 @@ class VerlindeResult:
         return self.max_error < 1e-6
 
 
-def verlinde_coefficients(S: SMatrix, guard_tol: float = 1e-12) -> VerlindeResult:
+def verlinde_coefficients(S: SMatrix) -> VerlindeResult:
     """Recover N'[a,b,c] = sum_x S[a,x] S[b,x] conj(S[c,x]) / S[e,x].
 
     Requires the normalized S-matrix; the tag is checked so an unnormalized
@@ -243,10 +244,10 @@ def verlinde_coefficients(S: SMatrix, guard_tol: float = 1e-12) -> VerlindeResul
     if S.normalization != "normalized":
         raise InputError("fusion-coefficient formula requires the normalized S-matrix")
     s = S.entries
-    if abs(np.linalg.det(s)) < guard_tol:
+    if abs(np.linalg.det(s)) < _GUARD_TOL:
         raise DegenerateSMatrix("S-matrix is singular; cannot diagonalize fusion rules")
     row = s[UNIT]
-    if np.abs(row).min() < guard_tol:
+    if np.abs(row).min() < _GUARD_TOL:
         x = int(np.argmin(np.abs(row)))
         raise DegenerateSMatrix(f"|S[e,{x}]| = {abs(row[x]):.3e} below division guard")
     raw = np.einsum("ax,bx,cx->abc", s, s, s.conj() / row)

@@ -42,7 +42,6 @@ from .category_data import (
     _key_labels,
     _ring_ok,
     _stacked,
-    _stacked_on,
     _stacking,
     validate_symbols,
 )
@@ -122,7 +121,8 @@ def _symbol_rows(table: dict) -> list:
     """The rows of an F or R table: key, 1-based multiplicity indices, re, im.
 
     Keys are sorted and each block is read in C order, which is the row order
-    of a file.
+    of a file.  Only ``category_to_dict``, the reference that ``dumps`` is
+    tested against, reads a table this way, key by key and whatever its keys.
     """
     keys = sorted(table)
     blocks = [table[key] for key in keys]
@@ -146,21 +146,12 @@ def _table_text(ring: FusionRing, table: dict, kind: str):
     """A symbol table as ``json.dumps`` writes it one level deep with ``indent=1``, in parts
     made as they are read.
 
-    A table of exactly the admissible keys is written through a row template,
-    kept in the ring's plan: everything in a row but its two floats, rows in
-    ``_Layout`` order.  Its floats are written by the array kernel, ``_ROWS``
-    rows at a time, when there are ``_KERNEL_FLOATS`` or more; else by
-    ``repr``, one by one.  Any other table, its admissible blocks of their
-    shapes (else InputError), is written by the json encoder.
+    The table is read as every reader reads it (``_table_stacks``: exactly the admissible
+    keys, of their shapes, else IncompleteData or InputError) and written through a row
+    template, kept in the ring's plan: everything in a row but its two floats, rows in
+    ``_Layout`` order.  Its floats are written by the array kernel, ``_ROWS`` rows at a
+    time, when there are ``_KERNEL_FLOATS`` or more; else by ``repr``, one by one.
     """
-    stacking = _stacking(ring, kind)
-    keys, shapes = stacking.admissible, stacking.shapes
-    if not (_stacked_on(ring, table, kind)
-            or (len(table) == len(keys) and all(map(table.__contains__, keys)))):
-        if [table[k].shape if k in table else s for k, s in zip(keys, shapes)] != shapes:
-            raise InputError("F/R blocks do not have their admissible shapes")
-        yield _field_texts({kind: _symbol_rows(table)})[kind]
-        return
     values = _flat(ring, table, kind).view(float)  # re, im of every entry
     split = values.size >= _KERNEL_FLOATS
     template = _cached(ring, f"{kind} rows", lambda: _row_template(ring, kind, split))

@@ -18,13 +18,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .category_data import (CategoryData, _cached, _coherence, _flat, _ring_ok, _stacking,
-                            _unit_elements, rigidity_scalar)
-from .errors import IncompleteData, InputError, WeightsInconsistent
+from .category_data import (_RIGIDITY_TOL, CategoryData, _cached, _check_commutative, _coherence,
+                            _flat, _ring_ok, _stacking, _unit_elements, rigidity_scalar)
+from .errors import InputError, WeightsInconsistent
 from .fusion_ring import SMatrix, fp_dimensions
 
 COHERENCE_TOL = 1e-7  # verdict threshold; loose enough for level-8 accumulation
 DET_TOL = 1e-8  # determinant threshold, relative to the matrix scale
+_TWIST_TOL = 1e-9  # ``twist`` raises when |theta_a - exp(2 i pi h_a)| reaches this
 # the residuals that decide coherence; the first four come from category_data._coherence,
 # coherence_summary without its witnesses
 _COHERENCE = ("pentagon", "hexagon_braid", "hexagon_inverse", "triangle", "ribbon",
@@ -44,7 +45,7 @@ def quantum_dimensions(data: CategoryData) -> np.ndarray:
     """
     dims = np.full(data.ring.size, np.nan, dtype=complex)
     for a, value in _unit_elements(data).items():
-        if not abs(value) < 1e-12:  # rigidity_scalar's floor; a NaN element gives a NaN dimension
+        if not abs(value) < _RIGIDITY_TOL:  # a NaN element gives a NaN dimension
             dims[a] = 1.0 / value
     return dims
 
@@ -71,9 +72,8 @@ def _derive(data: CategoryData) -> _Derived:
     theta_a = (1/d_a) sum_c d_c tr R[a,a,c]: the quantum trace of the
     self-braiding divided by the dimension, summed in channel order.
     """
+    _check_commutative(data.ring)
     dims, N, stacking = quantum_dimensions(data), data.ring.N, _stacking(data.ring, "R")
-    for key in np.argwhere((N > 0) & (N.transpose(1, 0, 2) == 0))[:1].tolist():
-        raise IncompleteData(tuple(key), kind="R")  # a channel that has no braiding
     channels, r, monodromies = np.argwhere(N > 0), _flat(data.ring, data.R, "R"), []
     r_traces, traces = np.empty((2, len(channels)), dtype=complex)
     for (p, q), _, own, at in stacking.groups:  # the R keys are the channels, in order
@@ -93,18 +93,18 @@ def _derive(data: CategoryData) -> _Derived:
     return _Derived(dims, twists, monodromies, s_tilde)
 
 
-def twist(data: CategoryData, a, check_weights: bool = True, tol: float = 1e-9) -> complex:
+def twist(data: CategoryData, a, check_weights: bool = True) -> complex:
     """Ribbon twist of a label from the braiding data (see ``_derive``).
 
     When weights are present the value is checked against exp(2 i pi h_a); a
-    mismatch beyond ``tol`` raises, since it means the file's weights belong
-    to a different braiding.
+    mismatch of ``_TWIST_TOL`` or more raises, since it means the file's
+    weights belong to a different braiding.
     """
     a = data.ring.index(a)
     value = _derive(data).twists[a]
     if check_weights and data.weights is not None:
         expect = np.exp(2j * np.pi * data.weights[a])
-        if abs(value - expect) >= tol:
+        if abs(value - expect) >= _TWIST_TOL:
             raise WeightsInconsistent(
                 f"twist of label {a} is {value:.12g} but weights give {expect:.12g}"
             )
@@ -198,11 +198,11 @@ class ModularReport:
         return self.verdict == "modular"
 
 
-def check_modular(data: CategoryData, coherence_tol: float = COHERENCE_TOL) -> ModularReport:
+def check_modular(data: CategoryData) -> ModularReport:
     """Full pipeline: coherence residuals, modular data, verdict.
 
     The verdict is ``incoherent`` when any coherence residual (ring
-    validation counts as one) reaches ``coherence_tol``; otherwise
+    validation counts as one) reaches ``COHERENCE_TOL``; otherwise
     ``degenerate`` when det(S~) vanishes relative to the matrix scale;
     otherwise ``modular``.  When modular and a central charge is present,
     the S/T relations are evaluated and recorded as residuals (they inform
@@ -229,7 +229,7 @@ def check_modular(data: CategoryData, coherence_tol: float = COHERENCE_TOL) -> M
         residuals["twist_weights"] = _weight_residual(th, data.weights)
         s_tilde = derived.s_tilde
         dim_sq = complex(np.sum(dims**2))
-        coherent = all(residuals[key] < coherence_tol for key in _COHERENCE)
+        coherent = all(residuals[key] < COHERENCE_TOL for key in _COHERENCE)
 
     verdict = "modular" if coherent else "incoherent"
     if coherent:

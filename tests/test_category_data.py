@@ -22,14 +22,18 @@ from mtcat import (
     ribbon_residual,
     rigidity_scalar,
     run_report,
+    s_matrix_balanced,
+    s_matrix_unnormalized,
     save,
     triangle_residual,
+    twist,
     validate_ring,
     validate_symbols,
 )
 from mtcat import category_data
 from mtcat.cli import main
 from mtcat.io import content_hash
+from mtcat.ribbon_modular import twist_weight_residual
 
 import reference_coherence as reference
 from conftest import CATALOG, bump_one_f_and_one_r, random_rep_a4_data
@@ -124,7 +128,8 @@ def test_braiding_needs_a_commutative_ring(tmp_path, capsys):
     assert pentagon_residual(data)[0] == 0.0
     message = "fusion ring is not commutative: N[1,2,3] = 0 but N[2,1,3] = 1"
     checks = [category_data.coherence_summary, check_modular, lambda d: hexagon_residual(d, "braid"),
-              lambda d: hexagon_residual(d, "inverse_braid")]
+              lambda d: hexagon_residual(d, "inverse_braid"), lambda d: twist(d, 1),
+              s_matrix_unnormalized, s_matrix_balanced, ribbon_residual, twist_weight_residual]
     for check in checks:
         with pytest.raises(InputError, match=re.escape(message)):
             check(data)

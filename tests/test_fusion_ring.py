@@ -68,8 +68,29 @@ def test_associativity_violation_witnessed():
     N[1, 2, 0] = 0
     N[1, 1, 2] = 1  # 1x1 = e + 2, but 2x1 empty: associativity must break
     report = validate_ring(FusionRing(["e", "a", "b"], [0, 1, 2], N))
-    assert any(v.invariant == "duality-channel" or v.invariant == "associativity"
-               for v in report.violations)
+    assert [(v.invariant, v.witness, v.message) for v in report.violations] == [
+        ("associativity", (1, 1, 2, 0),
+         "sum_x N[1,1,x]N[x,2,0] = 1 != sum_y N[1,y,0]N[1,2,y] = 0")]
+
+
+def _fib_ring_with(entry, value):
+    N = fib_ring().N.copy()
+    N[entry] = value
+    return FusionRing(["1", "tau"], [0, 1], N)
+
+
+@pytest.mark.parametrize("ring,invariant,witness,message", [
+    (lambda: _fib_ring_with((1, 1, 1), -1), "nonnegativity", (1, 1, 1), "N[1,1,1] = -1 < 0"),
+    (lambda: FusionRing(list("1xyz"), [0, 2, 3, 1], np.zeros((4, 4, 4), dtype=int)),
+     "duality", (1,), "dual(dual(1)) = 3 != 1"),  # a 3-cycle on x, y, z
+    (lambda: FusionRing(["1", "tau"], [1, 0], fib_ring().N), "duality", (0,),
+     "dual(unit) = 1 != unit"),
+    (lambda: _fib_ring_with((1, 0, 0), 1), "unit", (1, 0, 0), "N[1,e,0] = 1 != delta"),
+], ids=["negative_entry", "dual_not_an_involution", "dual_of_unit", "right_unit_column"])
+def test_ring_invariant_witnessed(ring, invariant, witness, message):
+    report = validate_ring(ring())
+    first = next(v for v in report.violations if v.invariant == invariant)
+    assert (first.witness, first.message) == (witness, message)
 
 
 def test_fuse_unit_law():

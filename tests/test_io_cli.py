@@ -13,6 +13,7 @@ import pytest
 from mtcat import (
     CategoryData,
     FusionRing,
+    IncompleteData,
     InputError,
     ParseError,
     SchemaError,
@@ -31,7 +32,7 @@ from mtcat import (
 )
 from mtcat import category_data
 from mtcat.catalog import FAMILIES
-from mtcat.category_data import coherence_summary
+from mtcat.category_data import coherence_summary, validate_symbols
 from mtcat.cli import build_parser, main
 from mtcat.io import (
     all_pass,
@@ -126,21 +127,31 @@ def test_dumps_row_template_follows_the_layout(catalog, name):
     a = random_rep_a4_data(3) if name == "random_rep_a4" else catalog[name].copy()
     f_key = sorted(a.F)[len(a.F) // 2]
     r_key = sorted(a.R)[len(a.R) // 3]
-    missing = a.copy()  # the same ring, one F and one R key removed
+    # a table that load would reject is not written: one F and one R key removed, one block
+    # of another shape, a key outside the label range, the reshaped block with a key removed
+    missing = a.copy()
     del missing.F[f_key], missing.R[r_key]
-    reshaped = a.copy()  # one block of another shape: not written, since load would reject it
+    reshaped = a.copy()
     reshaped.F[f_key] = reshaped.F[f_key].reshape(-1, *reshaped.F[f_key].shape[2:])
     reordered = a.copy()
     reordered.F = dict(reversed(reordered.F.items()))
-    extra = a.copy()  # a key outside the label range: written by the json encoder
+    extra = a.copy()
     extra.F[(a.ring.size,) * 6] = a.F[f_key].copy()
-    torn = reshaped.copy()  # and a key missing: the shapes are checked all the same
-    del torn.F[sorted(a.F)[len(a.F) // 2 + 1]]
+    torn = reshaped.copy()
+    gone = sorted(a.F)[len(a.F) // 2 + 1]
+    del torn.F[gone]
+    refused = {
+        id(missing): (IncompleteData, f"missing admissible F entry for {f_key}"),
+        id(reshaped): (InputError, "F/R blocks do not have their admissible shapes"),
+        id(extra): (InputError, f"F entry present for inadmissible tuple {(a.ring.size,) * 6}"),
+        id(torn): (IncompleteData, f"missing admissible F entry for {gone}"),  # before the shapes
+    }
     first = dumps(a)
     assert first == _canonical(a)
     for data in (missing, a, reshaped, a, reordered, a, extra, a, torn, a):
-        if data is reshaped or data is torn:
-            with pytest.raises(InputError, match="admissible shapes"):
+        if id(data) in refused:
+            error, message = refused[id(data)]
+            with pytest.raises(error, match=re.escape(message) + "$"):
                 dumps(data)
         else:
             assert dumps(data) == _canonical(data)
@@ -148,6 +159,34 @@ def test_dumps_row_template_follows_the_layout(catalog, name):
     a.F[f_key][(0,) * a.F[f_key].ndim] += 0.5  # in place: the layout is the same
     a.R[r_key] *= -1
     assert dumps(a) == _canonical(a) != first
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "su2_k3"])
+@pytest.mark.parametrize("kind", ["F", "R"])
+@pytest.mark.parametrize("extra", ["out_of_range", "inadmissible", "junk"])
+def test_every_reader_refuses_an_extra_key(catalog, tmp_path, name, kind, extra):
+    # one rule for every reader and the writer: a table holds exactly the admissible keys
+    data = catalog[name].copy()
+    size, table = data.ring.size, data.F if kind == "F" else data.R
+    key = {"out_of_range": (size,) * len(next(iter(table))),
+           "inadmissible": (0, 0, 0, 0, 1, 1) if kind == "F" else (0, 1, 0),
+           "junk": "junk"}[extra]
+    assert key not in table
+    table[key] = next(iter(table.values())).copy()
+    problems = validate_symbols(data)
+    assert (f"extra-{kind}", key, f"{kind} entry present for inadmissible tuple") in problems
+    path = tmp_path / "data.json"
+    save(catalog[name], path)
+    before = path.read_bytes()
+    readers = [run_report, check_modular, coherence_summary, lambda d: gauge_transform(
+        d, random_gauge(d.ring, 0)), dumps, content_hash, lambda d: save(d, path)]
+    if kind == "F":
+        readers += [quantum_dimensions, lambda d: rigidity_scalar(d, 1)]
+    for reader in readers:
+        with pytest.raises(InputError, match=re.escape(
+                f"{kind} entry present for inadmissible tuple {key!r}") + "$"):
+            reader(data)
+    assert path.read_bytes() == before
 
 
 def test_dumps_writes_numbers_of_two_digits():

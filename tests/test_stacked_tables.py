@@ -1,7 +1,8 @@
 """Symbol tables stored as per-shape stacks read the same as plain dicts.
 
-Every reader of F and R takes a stacked table's entries from its stacks and
-gathers a plain dict key by key.  Here each output of the readers is compared
+Every reader of F and R takes a stacked table's entries from its stacks, and
+gathers a plain dict of exactly the admissible keys into the same stacks in one
+pass.  Here each output of the readers is compared
 between a stacked table and a plain-dict copy, as built and after every
 mutation a dict allows.
 """
