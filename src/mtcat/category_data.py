@@ -27,7 +27,8 @@ import math
 import numbers
 import threading
 import weakref
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
 from itertools import compress
 
 import numpy as np
@@ -103,6 +104,29 @@ class CategoryData:
             if self.weights.shape != (self.ring.size,):
                 raise InputError("weights must give one value per label")
 
+    def __setattr__(self, name, value):
+        if name in ("F", "R"):  # an unread table waits aside until its first read
+            vars(self).pop("_unread_" + name, None)  # an assigned table is read in its place
+            name = "_unread_" + name if isinstance(value, _Stacks) else name
+        object.__setattr__(self, name, value)
+
+    def __getattr__(self, name):
+        """The first read of an unread F or R table makes its ``_Stacked`` dict of views, kept
+        with ``setdefault`` so that threads reading it first at once get one table; any other
+        missing name raises AttributeError."""
+        state = vars(self)
+        unread = state.get("_unread_" + name) if name in ("F", "R") else None
+        if unread is None:
+            if name in state:  # kept by another thread since the look-up began
+                return state[name]
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        table = _Stacked(dict.fromkeys(unread.order))
+        table.stacking, table.stacks, table.order = _stacking(self.ring, name), *unread
+        dict.update(table, zip(table.stacking.keys, itertools.chain.from_iterable(table.stacks)))
+        table = state.setdefault(name, table)
+        state.pop("_unread_" + name, None)  # a copy or pickle then holds the table alone
+        return table
+
     def f_block(self, a, b, c, d, e, f) -> np.ndarray:
         try:
             return self.F[(a, b, c, d, e, f)]
@@ -116,14 +140,9 @@ class CategoryData:
             raise IncompleteData((a, b, c), kind="R") from None
 
     def copy(self) -> "CategoryData":
-        return CategoryData(
-            ring=self.ring,
-            F=_copied(self.ring, self.F, "F"),
-            R=_copied(self.ring, self.R, "R"),
-            weights=None if self.weights is None else self.weights.copy(),
-            central_charge=self.central_charge,
-            name=self.name,
-        )
+        return replace(self, F=_copied(self.ring, _held(self, "F"), "F"),
+                       R=_copied(self.ring, _held(self, "R"), "R"),
+                       weights=None if self.weights is None else self.weights.copy())
 
 
 def validate_symbols(data: CategoryData) -> list[tuple]:
@@ -133,23 +152,16 @@ def validate_symbols(data: CategoryData) -> list[tuple]:
     """
     problems = []
     ring = data.ring
-    if not _stacked_on(ring, data.F, "F"):  # a stacked table has every key, of its shape
-        stacking, have_f = _stacking(ring, "F"), set(data.F)
-        for key in sorted(set(stacking.admissible) - have_f):
-            problems.append(("missing-F", key, "admissible F entry absent"))
-        for key in sorted(have_f - set(stacking.admissible)):
-            problems.append(("extra-F", key, "F entry present for inadmissible tuple"))
+    if not _stacked_on(ring, _held(data, "F"), "F"):  # a stacked table has every key, of its shape
+        stacking = _stacking(ring, "F")
+        problems += _key_problems(data.F, stacking.admissible, "F")
         for key, shape in zip(stacking.admissible, stacking.shapes):
-            got = data.F[key].shape if key in have_f else shape
+            got = data.F[key].shape if key in data.F else shape
             if got != shape:
                 problems.append(("shape-F", key, f"block shape {got}, expected {shape}"))
-    stacking, have_r = _stacking(ring, "R"), set(data.R)
-    want_r = set(stacking.admissible)
-    for key in sorted(want_r - have_r):
-        problems.append(("missing-R", key, "admissible R entry absent"))
-    for key in sorted(have_r - want_r):
-        problems.append(("extra-R", key, "R entry present for inadmissible tuple"))
-    present = [(k, shape) for k, shape in zip(stacking.admissible, stacking.shapes) if k in have_r]
+    stacking = _stacking(ring, "R")
+    problems += _key_problems(data.R, stacking.admissible, "R")
+    present = [(k, shape) for k, shape in zip(stacking.admissible, stacking.shapes) if k in data.R]
     square = [k for k, shape in present if data.R[k].shape == shape and shape[0] == shape[1]]
     singular_r = set()
     for shape in {data.R[k].shape for k in square}:  # one SVD call per block shape
@@ -170,6 +182,19 @@ def validate_symbols(data: CategoryData) -> list[tuple]:
             key = tuple(int(i) for i in np.unravel_index(x, (ring.size,) * 4))
             problems.append(("singular-F", key, "fusing matrix is not invertible"))
     return problems
+
+
+def _key_problems(table: dict, admissible: list, kind: str) -> list:
+    """The admissible keys missing from a table, sorted, then its other keys: sorted when they
+    compare, else in the table's order."""
+    want = set(admissible)
+    missing, extra = sorted(want.difference(table)), [key for key in table if key not in want]
+    try:
+        extra = sorted(extra)
+    except TypeError:  # such as a string and a tuple
+        pass
+    return [(f"missing-{kind}", key, f"admissible {kind} entry absent") for key in missing] + [
+        (f"extra-{kind}", key, f"{kind} entry present for inadmissible tuple") for key in extra]
 
 
 def _singular(mats: np.ndarray) -> np.ndarray:
@@ -835,13 +860,13 @@ def _block(lay: _Layout, instances: _Table, lhs: tuple, rhs: tuple) -> tuple:
 
 def _f_values(data: CategoryData) -> np.ndarray:
     """The F entries, flat in ``_Layout`` order."""
-    return _flat(data.ring, data.F, "F")
+    return _flat(data.ring, _held(data, "F"), "F")
 
 
 def _with_r(data: CategoryData, f: np.ndarray, direction: str) -> np.ndarray:
     """The F entries ``f``, then the R entries for ``direction``, flat in ``_Layout`` order."""
     _check_commutative(data.ring)
-    return np.concatenate([f, _flat(data.ring, data.R, "R", direction != "braid")])
+    return np.concatenate([f, _flat(data.ring, _held(data, "R"), "R", direction != "braid")])
 
 
 def _check_commutative(ring: FusionRing):
@@ -1082,22 +1107,17 @@ def gauge_transform(data: CategoryData, gauge: GaugeTransform) -> CategoryData:
         eye = np.eye(n, dtype=complex)
         g[n] = np.array([eye if given[i] is None else given[i] for i in pick], dtype=complex)
         gi[n] = np.linalg.inv(g[n])  # each vertex inverted once
-    f_stacks, r_stacks = (zip(_table_stacks(ring, table, kind), _stacking(ring, kind).groups)
-                          for kind, table in (("F", data.F), ("R", data.R)))
+    f_stacks, r_stacks = (zip(_table_stacks(ring, _held(data, kind), kind),
+                              _stacking(ring, kind).groups) for kind in "FR")
     F = [
         np.einsum("xij,xkl,xjlmn,xmo,xnp->xikop", g[n1][s1], g[n2][s2], x, gi[n3][s3], gi[n4][s4])
         for x, ((n1, n2, n3, n4), (s1, s2, s3, s4), *_) in f_stacks
     ]
     R = [gi[n1][s1].transpose(0, 2, 1) @ x @ g[n2][s2].transpose(0, 2, 1)
          for x, ((n1, n2), (s1, s2), *_) in r_stacks]
-    return CategoryData(
-        ring=data.ring,
-        F=_stacked(ring, "F", data.F, F),  # in the key orders of data
-        R=_stacked(ring, "R", data.R, R),
-        weights=None if data.weights is None else data.weights.copy(),
-        central_charge=data.central_charge,
-        name=data.name,
-    )
+    return replace(data, F=_stacked(ring, "F", _held(data, "F"), F),  # in the key orders of data
+                   R=_stacked(ring, "R", _held(data, "R"), R),
+                   weights=None if data.weights is None else data.weights.copy())
 
 
 # Per table: the number of labels in a key and the fusion vertices that bound
@@ -1147,43 +1167,20 @@ def _dropping(method):
     return drop
 
 
-_MUTATORS = "__setitem__ __delitem__ pop popitem clear update setdefault __ior__".split()
-for _name in _MUTATORS:
+for _name in "__setitem__ __delitem__ pop popitem clear update setdefault __ior__".split():
     setattr(_Stacked, _name, _dropping(getattr(dict, _name)))
 
 
-class _Unread(_Stacked):
-    """A stacked table whose per-key views are not made yet: the first dict method called on it
-    makes them, in ``order``, and turns it into a ``_Stacked``, as does ``==`` or ``!=`` with
-    it on the right of another unread table.  Readers of the stacks never make them."""
-
-    def _read(self):
-        with _read_lock:
-            if type(self) is _Unread:
-                dict.update(self, dict.fromkeys(self.order))
-                blocks = itertools.chain.from_iterable(self.stacks)
-                dict.update(self, zip(self.stacking.keys, blocks))
-                self.__class__ = _Stacked
+# An unread F or R table: its stacks, laid out as the ring's ``_stacking``, and its keys in the
+# order of the list ``order``.  ``CategoryData`` keeps it aside until the table is first read.
+_Stacks = namedtuple("_Stacks", "stacks order")
 
 
-_read_lock = threading.Lock()
-
-
-def _reading(name):
-    def read(self, *args, **kwargs):
-        for table in (self, *args):
-            if type(table) is _Unread:
-                table._read()
-        return getattr(self, name)(*args, **kwargs)  # now the method of a _Stacked
-
-    return read
-
-
-# every method that looks at the dict's own entries; dict(), {**t}, | from the right, copies
-# and pickles go through keys() and __getitem__
-for _name in _MUTATORS + """__len__ __iter__ __reversed__ __getitem__ __contains__ __eq__ __ne__
-        __or__ __repr__ get keys values items copy""".split():
-    setattr(_Unread, _name, _reading(_name))
+def _held(data: CategoryData, kind: str):
+    """The F or R table of ``data`` as readers take it: the dict once read or assigned, else
+    the unread ``_Stacks``."""
+    unread = vars(data).get("_unread_" + kind)  # looked at first: it goes once the dict is kept
+    return vars(data).get(kind, unread)
 
 
 class _Stacking:
@@ -1229,25 +1226,22 @@ def _stacking(ring: FusionRing, kind: str) -> _Stacking:
     return _cached(ring, f"{kind} stacks", lambda: _Stacking(ring, kind))
 
 
-def _stacked_on(ring: FusionRing, table: dict, kind: str) -> bool:
-    """Whether ``table`` is a stacked table laid out by the ring's plan."""
-    return isinstance(table, _Stacked) and table.stacking is _stacking(ring, kind)
+def _stacked_on(ring: FusionRing, table, kind: str) -> bool:
+    """Whether ``table`` is unread, or a stacked table laid out by the ring's plan."""
+    return isinstance(table, _Stacks) or (isinstance(table, _Stacked)
+                                          and table.stacking is _stacking(ring, kind))
 
 
-def _stacked(ring: FusionRing, kind: str, order, stacks: list) -> _Stacked:
-    """The stacked table of ``stacks``, unread, with its keys in the order of ``order``: a
-    list of keys, or a table (a stacked one shares its order)."""
-    table = _Unread()
-    table.stacking, table.stacks = _stacking(ring, kind), stacks
-    table.order = order.order if _stacked_on(ring, order, kind) else list(order)
-    return table
+def _stacked(ring: FusionRing, kind: str, order, stacks: list) -> _Stacks:
+    """An unread table of ``stacks``, keys ordered as ``order``: a key list, or a held table."""
+    return _Stacks(stacks, order.order if _stacked_on(ring, order, kind) else list(order))
 
 
-def _table_stacks(ring: FusionRing, table: dict, kind: str) -> list:
-    """The stacks of an F or R table, as every reader and the writer take it: a stacked table's
-    own; any other's gathered from its keys, exactly the admissible ones.  The first missing key
-    in admissible order raises IncompleteData, as ``f_block`` does; then the first other key, in
-    the table's order, and a block of the wrong shape raise InputError."""
+def _table_stacks(ring: FusionRing, table, kind: str) -> list:
+    """The stacks of a held F or R table, as every reader and the writer take it: an unread or
+    stacked table's own; any other's gathered from its keys, exactly the admissible ones.  The
+    first missing key in admissible order raises IncompleteData, as ``f_block`` does; then the
+    first other key, in the table's order, and a block of the wrong shape raise InputError."""
     if _stacked_on(ring, table, kind):
         return table.stacks
     stacking = _stacking(ring, kind)
@@ -1264,8 +1258,8 @@ def _table_stacks(ring: FusionRing, table: dict, kind: str) -> list:
     return [np.stack([blocks[i] for i in at.tolist()]) for _, _, _, at in stacking.groups]
 
 
-def _copied(ring: FusionRing, table: dict, kind: str) -> dict:
-    """A table with copies of the blocks; a stacked table stays stacked."""
+def _copied(ring: FusionRing, table, kind: str):
+    """A held table with copies of the blocks; an unread or stacked table gives an unread one."""
     if _stacked_on(ring, table, kind):
         return _stacked(ring, kind, table, [stack.copy() for stack in table.stacks])
     return {key: block.copy() for key, block in table.items()}

@@ -13,9 +13,9 @@ import sys
 import numpy as np
 
 from . import _FAMILIES, __version__
-from .category_data import gauge_transform, random_gauge, validate_symbols
+from .category_data import gauge_transform, random_gauge
 from .errors import MtcatError, ParseError, SchemaError, ValidationError
-from .fusion_ring import fp_dimensions, validate_ring, verlinde_coefficients
+from .fusion_ring import fp_dimensions, verlinde_coefficients
 from .io import (
     CHECK_NAMES,
     all_pass,
@@ -97,14 +97,11 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "validate":
-        data = load(args.file)  # raises on structural problems
-        # load() already validated; re-run to show the clean summary
-        report = validate_ring(data.ring)
-        problems = validate_symbols(data)
+        data = load(args.file)  # raises on anything validate_ring or validate_symbols would list
         print(f"{data.name or args.file}: {data.ring.size} labels")
-        print("ring invariants: ok" if report.ok else str(report))
-        print("symbol tables:   ok" if not problems else f"{len(problems)} problems")
-        return 0 if report.ok and not problems else 1
+        print("ring invariants: ok")
+        print("symbol tables:   ok")
+        return 0
 
     if args.command == "verify":
         data = load(args.file)

@@ -38,6 +38,7 @@ from .category_data import (
     CategoryData,
     _cached,
     _flat,
+    _held,
     _inverse_unit_checks,
     _key_labels,
     _ring_ok,
@@ -65,8 +66,8 @@ _PARTS = np.frombuffer(b"%s,\n   %s", dtype=np.uint8)  # a row's re and im in a 
 
 def category_to_dict(data: CategoryData) -> dict:
     doc = {**_data_fields(data), **_ring_fields(data.ring)}
-    for name, table in (("f_symbols", data.F), ("r_symbols", data.R)):
-        doc[name] = _symbol_rows(table)
+    for name, kind in (("f_symbols", "F"), ("r_symbols", "R")):
+        doc[name] = _symbol_rows(getattr(data, kind), kind)
     return doc
 
 
@@ -83,8 +84,8 @@ def _text_parts(data: CategoryData):
     fields = {**_cached(ring, "ring text", lambda: _field_texts(_ring_fields(ring))),
               **_field_texts(_data_fields(data))}
     texts = {name: (text,) for name, text in fields.items()}
-    texts["f_symbols"] = _table_text(ring, data.F, "F")
-    texts["r_symbols"] = _table_text(ring, data.R, "R")
+    texts["f_symbols"] = _table_text(ring, _held(data, "F"), "F")
+    texts["r_symbols"] = _table_text(ring, _held(data, "R"), "R")
     for i, (name, text) in enumerate(sorted(texts.items())):
         yield from (",\n " if i else "{\n ", json.dumps(name), ": ")  # no comma before the first
         yield from text
@@ -117,13 +118,17 @@ def _data_fields(data: CategoryData) -> dict:
     return doc
 
 
-def _symbol_rows(table: dict) -> list:
+def _symbol_rows(table: dict, kind: str) -> list:
     """The rows of an F or R table: key, 1-based multiplicity indices, re, im.
 
     Keys are sorted and each block is read in C order, which is the row order
     of a file.  Only ``category_to_dict``, the reference that ``dumps`` is
-    tested against, reads a table this way, key by key and whatever its keys.
+    tested against, reads a table this way, key by key and whatever its keys
+    but one that is not a tuple of ints, which raises InputError.
     """
+    for key in table:
+        if not isinstance(key, tuple) or not all(isinstance(x, numbers.Integral) for x in key):
+            raise InputError(f"{kind} entry present for inadmissible tuple {key!r}")
     keys = sorted(table)
     blocks = [table[key] for key in keys]
     shapes = [block.shape for block in blocks]

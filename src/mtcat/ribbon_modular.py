@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .category_data import (_RIGIDITY_TOL, CategoryData, _cached, _check_commutative, _coherence,
-                            _flat, _ring_ok, _stacking, _unit_elements, rigidity_scalar)
+                            _flat, _held, _ring_ok, _stacking, _unit_elements, rigidity_scalar)
 from .errors import InputError, WeightsInconsistent
 from .fusion_ring import SMatrix, fp_dimensions
 
@@ -74,7 +74,7 @@ def _derive(data: CategoryData) -> _Derived:
     """
     _check_commutative(data.ring)
     dims, N, stacking = quantum_dimensions(data), data.ring.N, _stacking(data.ring, "R")
-    channels, r, monodromies = np.argwhere(N > 0), _flat(data.ring, data.R, "R"), []
+    channels, r, monodromies = np.argwhere(N > 0), _flat(data.ring, _held(data, "R"), "R"), []
     r_traces, traces = np.empty((2, len(channels)), dtype=complex)
     for (p, q), _, own, at in stacking.groups:  # the R keys are the channels, in order
         blocks = np.take(r, own).reshape(-1, p, q)

@@ -23,7 +23,6 @@ from mtcat.category_data import (
     _inverse_unit_checks,
     _Stacked,
     _stacked_on,
-    _Unread,
     coherence_summary,
     validate_symbols,
 )
@@ -202,14 +201,15 @@ def test_a_table_of_another_plan_is_gathered(built):
     assert validate_symbols(moved)  # the keys of another ring
 
 
-# A table from gauge_transform, copy() or load has no per-key views until a dict method is
-# called on it; these compare it, unread, with the same table once read and with a plain dict.
+# A table from gauge_transform, copy() or load has no per-key views until data.F or data.R is
+# first read; these compare the table that read makes, before any dict method is called on it,
+# with the same table once a dict method has been called and with a plain dict.
 
 
 def _unread_tables():
     data = make("su2_level", level=3)  # blocks of one entry: == compares them as numbers
     gauged = gauge_transform(data, random_gauge(data.ring, 0))
-    assert type(gauged.F) is _Unread  # the flag: a dict method has not yet been called
+    assert "F" not in vars(gauged)  # the flag: the table has not yet been read
     return gauged.F, gauge_transform(data, random_gauge(data.ring, 0)).F
 
 
@@ -218,7 +218,7 @@ def _subjects():
     unread, other = _unread_tables()
     read = _unread_tables()[0]
     len(read)
-    assert type(read) is _Stacked and type(unread) is _Unread
+    assert type(read) is _Stacked and type(unread) is _Stacked
     return {"unread": unread, "read": read, "plain": dict(_unread_tables()[0])}, other
 
 
@@ -311,11 +311,11 @@ def test_an_unread_table_keeps_or_drops_its_stacks_as_a_read_one(op):
 
 def test_an_unread_table_keeps_its_key_order():
     data = _stacked_data("su2_k7_shuffled")  # keys in file order, not in stack order
-    assert type(data.F) is _Unread
+    assert "F" not in vars(data)
     order = list(_stacked_data("su2_k7_shuffled").F)
     gauged = gauge_transform(data, random_gauge(data.ring, 1))
     copied = data.copy()
-    assert type(gauged.F) is type(copied.F) is _Unread
+    assert "F" not in vars(gauged) and "F" not in vars(copied)
     assert list(gauged.F) == list(copied.F) == list(data.F) == order != sorted(order)
 
 
@@ -324,20 +324,21 @@ def test_a_report_reads_no_table_key_by_key():
         data = make("su2_level", level=level)
         gauged = gauge_transform(data, random_gauge(data.ring, 2))
         run_report(gauged)
-        assert type(gauged.F) is _Unread and type(gauged.R) is _Unread
-        assert type(data.F) is _Unread and type(data.R) is _Unread
+        assert "F" not in vars(gauged) and "R" not in vars(gauged)
+        assert "F" not in vars(data) and "R" not in vars(data)
 
 
 def test_threads_read_one_unread_table():
     data = make("su2_level", level=6)  # blocks of one shape: one stack
     errors = []
     for _ in range(5):
-        table = gauge_transform(data, random_gauge(data.ring, 4)).F
+        gauged = gauge_transform(data, random_gauge(data.ring, 4))
         want = list(data.F)
 
         def work():
             try:
                 for _ in range(20):  # a lost or doubled fill would change the keys or blocks
+                    table = gauged.F
                     assert list(table) == want and len(table) == len(want)
                     assert all(np.shares_memory(table[key], table.stacks[0]) for key in want)
             except Exception as exc:  # reported below: an assertion in a thread fails nothing
@@ -354,4 +355,4 @@ def test_threads_read_one_unread_table():
         finally:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers) and not errors, errors
-        assert type(table) is _Stacked
+        assert type(gauged.F) is _Stacked
