@@ -100,9 +100,15 @@ class CategoryData:
 
     def __post_init__(self):
         if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=float)
+            try:
+                self.weights = np.asarray(self.weights, dtype=float)
+            except (TypeError, ValueError):
+                raise InputError(f"weights must be real numbers, got {self.weights!r}") from None
             if self.weights.shape != (self.ring.size,):
                 raise InputError("weights must give one value per label")
+        c = self.central_charge
+        if c is not None and (isinstance(c, bool) or not isinstance(c, numbers.Real)):
+            raise InputError(f"central_charge must be a real number, got {c!r}")
 
     def __setattr__(self, name, value):
         if name in ("F", "R"):  # an unread table waits aside until its first read
@@ -155,23 +161,21 @@ def validate_symbols(data: CategoryData) -> list[tuple]:
     if not _stacked_on(ring, _held(data, "F"), "F"):  # a stacked table has every key, of its shape
         stacking = _stacking(ring, "F")
         problems += _key_problems(data.F, stacking.admissible, "F")
-        for key, shape in zip(stacking.admissible, stacking.shapes):
-            got = data.F[key].shape if key in data.F else shape
-            if got != shape:
-                problems.append(("shape-F", key, f"block shape {got}, expected {shape}"))
+        problems += filter(None, (_block_problem("F", key, data.F[key], shape) for key, shape
+                                  in zip(stacking.admissible, stacking.shapes) if key in data.F))
     stacking = _stacking(ring, "R")
     problems += _key_problems(data.R, stacking.admissible, "R")
     present = [(k, shape) for k, shape in zip(stacking.admissible, stacking.shapes) if k in data.R]
-    square = [k for k, shape in present if data.R[k].shape == shape and shape[0] == shape[1]]
+    square = [k for k, shape in present if _shape(data.R[k]) == shape and shape[0] == shape[1]]
     singular_r = set()
     for shape in {data.R[k].shape for k in square}:  # one SVD call per block shape
         group = [k for k in square if data.R[k].shape == shape]
         stack = np.stack([data.R[k] for k in group])
         singular_r.update(compress(group, _singular(stack)))
     for key, shape in present:
-        block = data.R[key]
-        if block.shape != shape:
-            problems.append(("shape-R", key, f"block shape {block.shape}, expected {shape}"))
+        problem = _block_problem("R", key, data.R[key], shape)
+        if problem:
+            problems.append(problem)
         elif key in singular_r:
             problems.append(("singular-R", key, "braiding block is not invertible"))
     if not problems:
@@ -197,10 +201,30 @@ def _key_problems(table: dict, admissible: list, kind: str) -> list:
         (f"extra-{kind}", key, f"{kind} entry present for inadmissible tuple") for key in extra]
 
 
+def _shape(block):
+    """The shape of a block; None when it is not an ndarray of numbers (bool is not a number,
+    as in a file).  Every reader and ``validate_symbols`` check a block by it."""
+    return block.shape if isinstance(block, np.ndarray) and block.dtype.kind in "iufc" else None
+
+
+def _block_problem(kind: str, key, block, shape: tuple):
+    """The problem of a block that is not an array of numbers or not of ``shape``; else None."""
+    got = _shape(block)
+    if got is None:
+        return f"type-{kind}", key, "block is not an array of numbers"
+    if got != shape:
+        return f"shape-{kind}", key, f"block shape {got}, expected {shape}"
+    return None
+
+
 def _singular(mats: np.ndarray) -> np.ndarray:
-    """Which matrices of a stack are not invertible, by their singular values."""
+    """Which matrices of a stack are not invertible, by their singular values; a matrix with
+    an entry that is not finite is not."""
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    if not finite.all():  # the SVD of a NaN may not converge
+        mats = np.where(finite[:, None, None], mats, 0)
     sv = np.linalg.svd(mats, compute_uv=False)
-    return sv[:, -1] <= _COND_TOL * np.maximum(sv[:, 0], 1.0)
+    return ~finite | (sv[:, -1] <= _COND_TOL * np.maximum(sv[:, 0], 1.0))
 
 
 @dataclass
@@ -667,7 +691,7 @@ def _slots(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return channel.reshape(len(counts), -1), pos.reshape(len(counts), -1)
 
 
-def _pentagon_instances(N: np.ndarray, cells: slice) -> _Table:
+def _pentagon_instances(N: np.ndarray, cells: slice) -> dict:
     """The pentagon instances on the ``cells`` of the (a,b,c,d) grid, in instance order."""
     out, mid, into = _channels(N)
     t = _grid(N, "abcdw", slice(cells.start * len(N), cells.stop * len(N)))
@@ -686,6 +710,7 @@ def _pentagon_block(N: np.ndarray, lay: _Layout, cells: slice) -> tuple:
     """
     out, mid, into = _channels(N)
     t = _pentagon_instances(N, cells)
+    t["instance"] = np.arange(len(t["a"]))  # _block counts the terms of each instance by it
     lhs = _vectors(N, _where(N, t, "rqw"), "rqw")
     rhs = _labels(t, "t", out(t["b"], t["c"]) & into(t["d"], t["p"]) & mid(t["a"], t["s"]))
     rhs = _vectors(N, rhs, "bct", "tdp", "ats")
@@ -693,7 +718,7 @@ def _pentagon_block(N: np.ndarray, lay: _Layout, cells: slice) -> tuple:
                   (rhs, lay.f(rhs, "bcdpqt"), lay.f(rhs, "atdwps"), lay.f(rhs, "abcstr")))
 
 
-def _hexagon_instances(N: np.ndarray, cells: slice) -> _Table:
+def _hexagon_instances(N: np.ndarray, cells: slice) -> dict:
     """The hexagon instances on the ``cells`` of the (a,b,c,d) grid, in instance order."""
     out, mid, into = _channels(N)
     t = _grid(N, "abcd", cells)
@@ -710,6 +735,7 @@ def _hexagon_block(N: np.ndarray, lay: _Layout, cells: slice) -> tuple:
     """
     out, mid, into = _channels(N)
     t = _hexagon_instances(N, cells)
+    t["instance"] = np.arange(len(t["a"]))  # _block counts the terms of each instance by it
     lhs = _labels(t, "h", out(t["b"], t["c"]) & into(t["a"], t["d"]) & mid(t["a"], t["d"]))
     lhs = _vectors(N, lhs, "bch", "had", "ahd")
     rhs = _vectors(N, _where(N, t, "acg", "baf"), "acg", "baf")
@@ -717,49 +743,23 @@ def _hexagon_block(N: np.ndarray, lay: _Layout, cells: slice) -> tuple:
                   (rhs, lay.r(rhs, "acg"), lay.f(rhs, "bacdgf"), lay.r(rhs, "abf")))
 
 
-class _Table:
-    """Columns of a table grown step by step without copying rows.
-
-    A step holds its new columns and ``row``, the parent row behind each of its
-    rows (None: the parent's rows).  A column of an earlier step is gathered
-    through the composed parent rows when first read; a 0-d column is one value.
-    The rows behind a step are composed once per earlier step.
-    """
-
-    def __init__(self, cols: dict, parent: "_Table | None" = None, row=None):
-        self.cols, self.parent, self.row, self.up = cols, parent, row, {}
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        if name not in self.cols:
-            owner = self.parent
-            while name not in owner.cols:
-                owner = owner.parent
-            col, row = owner.cols[name], self.rows_in(owner)
-            self.cols[name] = col if col.ndim == 0 or row is None else np.take(col, row)
-        return self.cols[name]
-
-    def rows_in(self, owner: "_Table"):
-        """The row of ``owner`` behind each row here; None when the rows are the same."""
-        if owner is self:
-            return None
-        if owner not in self.up:
-            up, row = self.parent.rows_in(owner), self.row
-            self.up[owner] = row if up is None else up if row is None else np.take(up, row)
-        return self.up[owner]
+def _rows(t: dict, row) -> dict:
+    """The rows ``row`` of every column of ``t``; a 0-d column stays one value."""
+    return {name: col if col.ndim == 0 else np.take(col, row) for name, col in t.items()}
 
 
-def _grid(N: np.ndarray, labels: str, rows: slice) -> _Table:
+def _grid(N: np.ndarray, labels: str, rows: slice) -> dict:
     """The ``rows`` of the tuples of the named labels, in lexicographic order."""
     grid = np.unravel_index(np.arange(rows.start, rows.stop), (len(N),) * len(labels))
     small = np.min_scalar_type(len(N))
-    return _Table({label: col.astype(small) for label, col in zip(labels, grid)})
+    return {label: col.astype(small) for label, col in zip(labels, grid)}
 
 
-def _labels(t: _Table, name: str, allowed: np.ndarray) -> _Table:
+def _labels(t: dict, name: str, allowed: np.ndarray) -> dict:
     """Extend every row by each label its row of ``allowed`` marks, in increasing order."""
     flat = np.flatnonzero(allowed)  # faster than a 2-d nonzero
     row = flat // allowed.shape[1]
-    return _Table({name: _small(flat - row * allowed.shape[1])}, t, row)
+    return {**_rows(t, row), name: _small(flat - row * allowed.shape[1])}
 
 
 def _channels(N: np.ndarray) -> list:
@@ -770,32 +770,32 @@ def _channels(N: np.ndarray) -> list:
     return [lambda u, v, tab=tab: np.take(tab, u.astype(np.intp) * m + v, axis=0) for tab in tables]
 
 
-def _where(N: np.ndarray, t: _Table, *vertices: str) -> _Table:
+def _where(N: np.ndarray, t: dict, *vertices: str) -> dict:
     """The rows of ``t`` on which every named vertex has a basis vector."""
     keep = np.logical_and.reduce([_size(N, t, vertex) > 0 for vertex in vertices])
-    return _Table({}, t, None if keep.all() else np.flatnonzero(keep))
+    return t if keep.all() else _rows(t, np.flatnonzero(keep))
 
 
-def _vectors(N: np.ndarray, t: _Table, *vertices: str) -> _Table:
+def _vectors(N: np.ndarray, t: dict, *vertices: str) -> dict:
     """Extend every row by each choice of basis vector at the named vertices.
 
     Every named vertex must have a basis vector on every row.
     """
     if N.max() <= 1:  # each vertex has its one basis vector: the rows stay, every index is 0
-        return _Table(dict.fromkeys(vertices, np.zeros((), dtype=np.uint8)), t)
+        return {**t, **dict.fromkeys(vertices, np.zeros((), dtype=np.uint8))}
     sizes = [_size(N, t, vertex) for vertex in vertices]
     count = np.prod(sizes, axis=0)
     row = np.repeat(np.arange(count.size), count)
     pos = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
-    new = {}
+    t = _rows(t, row)
     for vertex, size in reversed(list(zip(vertices, sizes))):
         size = size[row]
-        new[vertex] = _small(pos % size)
+        t[vertex] = _small(pos % size)
         pos = pos // size
-    return _Table(new, t, row)
+    return t
 
 
-def _size(N: np.ndarray, t: _Table, vertex: str) -> np.ndarray:
+def _size(N: np.ndarray, t: dict, vertex: str) -> np.ndarray:
     """N at the named vertex, on every row."""
     x, y, z = (t[v] for v in vertex)
     return np.take(N, (x.astype(np.intp) * len(N) + y) * len(N) + z)  # faster than N[x, y, z]
@@ -806,9 +806,10 @@ def _small(col: np.ndarray) -> np.ndarray:
     return col.astype(np.min_scalar_type(col.max(initial=0)))
 
 
-def _block(lay: _Layout, instances: _Table, lhs: tuple, rhs: tuple) -> tuple:
+def _block(lay: _Layout, instances: dict, lhs: tuple, rhs: tuple) -> tuple:
     """A block, (instance count, lhs, rhs, at), from its instances and per side the term
-    table and the value offset of each factor, in table order.
+    table and the value offset of each factor, in table order; the tables carry the
+    ``instance`` column of the instances.
 
     The block order of the instances puts those with most lhs terms first, then those
     with most rhs terms, stable; ``at`` is the place of every instance in it (None: the
@@ -819,10 +820,7 @@ def _block(lay: _Layout, instances: _Table, lhs: tuple, rhs: tuple) -> tuple:
     count, so a pass is at most one run per group.
     """
     n = len(instances["a"])
-    counts = []
-    for t, *_ in (lhs, rhs):
-        instance = t.rows_in(instances)
-        counts.append(np.ones(n, np.intp) if instance is None else np.bincount(instance, None, n))
+    counts = [np.bincount(t["instance"], None, n) for t, *_ in (lhs, rhs)]
     nl, nr = (count.max(initial=0) + 1 for count in counts)  # lhs counts < nl, rhs < nr
     key = counts[0] * nr + counts[1]
     order = at = None
@@ -1004,21 +1002,19 @@ class GaugeTransform:
         looked at on its own, to raise the error a vertex-by-vertex check would.
         """
         keys = list(self.matrices)
-        mats = [np.asarray(g, dtype=complex) for g in self.matrices.values()]
         a, b, c = _gauge_labels(self.ring, keys).T
+        mats = list(map(_gauge_array, self.matrices.values()))
         n = self.ring.N[a, b, c]
         flagged = np.ones(len(keys), dtype=bool)  # inadmissible or misshapen until cleared
         unit = _unit_triples(self.ring, a, b, c)
         for size in set(n.tolist()) - {0}:
-            pick = [i for i in np.flatnonzero(n == size).tolist() if mats[i].shape == (size, size)]
+            pick = [i for i in np.flatnonzero(n == size).tolist()
+                    if _shape(mats[i]) == (size, size)]
             if not pick:
                 continue
             stack = np.stack([mats[i] for i in pick])
-            finite = np.isfinite(stack).all(axis=(1, 2))  # the SVD of the others may raise
-            invertible = np.zeros(len(pick), dtype=bool)
-            invertible[finite] = ~_singular(stack[finite])
             pinned = np.isclose(stack, np.eye(size), atol=1e-14).all(axis=(1, 2))
-            flagged[pick] = ~invertible | (unit[pick] & ~pinned)
+            flagged[pick] = _singular(stack) | (unit[pick] & ~pinned)
         for i in np.flatnonzero(flagged).tolist():
             _check_gauge_matrix(self.ring, keys[i], mats[i])
 
@@ -1043,16 +1039,27 @@ def _gauge_labels(ring: FusionRing, keys: list) -> np.ndarray:
     return np.array(keys, dtype=np.intp).reshape(-1, 3)
 
 
-def _check_gauge_matrix(ring: FusionRing, key, g: np.ndarray):
-    """Raise InputError when ``g`` is not a valid gauge matrix on vertex ``key``."""
+def _gauge_array(g):
+    """A gauge matrix as a complex array; None when it is not an array of numbers."""
+    try:
+        g = np.asarray(g)
+    except ValueError:  # rows of different lengths
+        return None
+    return None if _shape(g) is None else g.astype(complex, copy=False)
+
+
+def _check_gauge_matrix(ring: FusionRing, key, g: np.ndarray | None):
+    """Raise InputError when ``g`` (``_gauge_array``) is not a valid gauge matrix on vertex
+    ``key``."""
     a, b, c = key
     n = int(ring.N[a, b, c])
     if n == 0:
         raise InputError(f"gauge given on inadmissible triple ({a},{b},{c})")
+    if g is None:
+        raise InputError(f"gauge on ({a},{b},{c}) is not an array of numbers")
     if g.shape != (n, n):
         raise InputError(f"gauge on ({a},{b},{c}) has shape {g.shape}, expected ({n},{n})")
-    sv = np.linalg.svd(g, compute_uv=False)
-    if sv[-1] <= _COND_TOL * max(sv[0], 1.0):
+    if _singular(g[None])[0]:
         raise InputError(f"gauge matrix on ({a},{b},{c}) is not invertible")
     if _unit_triples(ring, a, b, c) and not np.allclose(g, np.eye(n), atol=1e-14):
         raise InputError(f"gauge on unit triple ({a},{b},{c}) must be the identity")
@@ -1241,7 +1248,8 @@ def _table_stacks(ring: FusionRing, table, kind: str) -> list:
     """The stacks of a held F or R table, as every reader and the writer take it: an unread or
     stacked table's own; any other's gathered from its keys, exactly the admissible ones.  The
     first missing key in admissible order raises IncompleteData, as ``f_block`` does; then the
-    first other key, in the table's order, and a block of the wrong shape raise InputError."""
+    first other key, in the table's order, the first block that is not an array of numbers
+    (``_shape``) and a block of the wrong shape raise InputError."""
     if _stacked_on(ring, table, kind):
         return table.stacks
     stacking = _stacking(ring, kind)
@@ -1253,7 +1261,11 @@ def _table_stacks(ring: FusionRing, table, kind: str) -> list:
         admissible = set(stacking.admissible)
         key = next(key for key in table if key not in admissible)
         raise InputError(f"{kind} entry present for inadmissible tuple {key!r}")
-    if [block.shape for block in blocks] != stacking.shapes:
+    shapes = list(map(_shape, blocks))
+    if None in shapes:
+        key = stacking.admissible[shapes.index(None)]
+        raise InputError(f"{kind} block {key} is not an array of numbers")
+    if shapes != stacking.shapes:
         raise InputError("F/R blocks do not have their admissible shapes")
     return [np.stack([blocks[i] for i in at.tolist()]) for _, _, _, at in stacking.groups]
 

@@ -42,6 +42,7 @@ from .category_data import (
     _inverse_unit_checks,
     _key_labels,
     _ring_ok,
+    _shape,
     _stacked,
     _stacking,
     validate_symbols,
@@ -131,7 +132,9 @@ def _symbol_rows(table: dict, kind: str) -> list:
             raise InputError(f"{kind} entry present for inadmissible tuple {key!r}")
     keys = sorted(table)
     blocks = [table[key] for key in keys]
-    shapes = [block.shape for block in blocks]
+    shapes = list(map(_shape, blocks))
+    if None in shapes:
+        raise InputError(f"{kind} block {keys[shapes.index(None)]} is not an array of numbers")
     indices = {
         shape: [tuple(i + 1 for i in idx) for idx in np.ndindex(shape)] for shape in set(shapes)
     }

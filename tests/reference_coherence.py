@@ -288,11 +288,12 @@ def validate_gauge(gauge, cond_tol: float = 1e-12):
         n = int(ring.N[a, b, c])
         if n == 0:
             raise InputError(f"gauge given on inadmissible triple ({a},{b},{c})")
-        g = np.asarray(g, dtype=complex)
+        g = np.asarray(g)
+        if not _numbers(g):
+            raise InputError(f"gauge on ({a},{b},{c}) is not an array of numbers")
         if g.shape != (n, n):
             raise InputError(f"gauge on ({a},{b},{c}) has shape {g.shape}, expected ({n},{n})")
-        sv = np.linalg.svd(g, compute_uv=False)
-        if sv[-1] <= cond_tol * max(sv[0], 1.0):
+        if _singular(g, cond_tol):
             raise InputError(f"gauge matrix on ({a},{b},{c}) is not invertible")
         unit = a == UNIT or b == UNIT or (c == UNIT and b == ring.dual[a])
         if unit and not np.allclose(g, np.eye(n), atol=1e-14):
@@ -311,6 +312,19 @@ def _block_diag(blocks):
     return out
 
 
+def _numbers(block) -> bool:
+    """Whether a block is an ndarray of numbers; bool is not a number."""
+    return isinstance(block, np.ndarray) and block.dtype.kind in "iufc"
+
+
+def _singular(mat, cond_tol) -> bool:
+    """Whether a matrix is not invertible; one with an entry that is not finite is not."""
+    if not np.isfinite(mat).all():
+        return True
+    sv = np.linalg.svd(mat, compute_uv=False)
+    return sv[-1] <= cond_tol * max(sv[0], 1.0)
+
+
 def validate_symbols(data: CategoryData, cond_tol: float = 1e-12) -> list[tuple]:
     problems = []
     ring = data.ring
@@ -322,7 +336,9 @@ def validate_symbols(data: CategoryData, cond_tol: float = 1e-12) -> list[tuple]
         problems.append(("extra-F", key, "F entry present for inadmissible tuple"))
     for key in sorted(want_f & have_f):
         shape = f_block_shape(ring, *key)
-        if data.F[key].shape != shape:
+        if not _numbers(data.F[key]):
+            problems.append(("type-F", key, "block is not an array of numbers"))
+        elif data.F[key].shape != shape:
             problems.append(("shape-F", key, f"block shape {data.F[key].shape}, expected {shape}"))
     want_r = set(admissible_r_keys(ring))
     have_r = set(data.R)
@@ -334,17 +350,15 @@ def validate_symbols(data: CategoryData, cond_tol: float = 1e-12) -> list[tuple]
         a, b, c = key
         shape = (int(ring.N[a, b, c]), int(ring.N[b, a, c]))
         block = data.R[key]
-        if block.shape != shape:
+        if not _numbers(block):
+            problems.append(("type-R", key, "block is not an array of numbers"))
+        elif block.shape != shape:
             problems.append(("shape-R", key, f"block shape {block.shape}, expected {shape}"))
-        elif shape[0] == shape[1] and shape[0] > 0:
-            sv = np.linalg.svd(block, compute_uv=False)
-            if sv[-1] <= cond_tol * max(sv[0], 1.0):
-                problems.append(("singular-R", key, "braiding block is not invertible"))
+        elif shape[0] == shape[1] and shape[0] > 0 and _singular(block, cond_tol):
+            problems.append(("singular-R", key, "braiding block is not invertible"))
     if not problems:
         for (a, b, c, d) in sorted({k[:4] for k in want_f}):
-            mat = f_matrix(data, a, b, c, d).matrix
-            sv = np.linalg.svd(mat, compute_uv=False)
-            if sv[-1] <= cond_tol * max(sv[0], 1.0):
+            if _singular(f_matrix(data, a, b, c, d).matrix, cond_tol):
                 problems.append(("singular-F", (a, b, c, d), "fusing matrix is not invertible"))
     return problems
 

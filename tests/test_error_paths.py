@@ -1,6 +1,8 @@
 """Error paths that the other tests never reach: the loader's schema checks through the CLI,
-API argument checks, the CLI's answers on degenerate data, and tables whose keys do not sort."""
+API argument checks, the CLI's answers on degenerate data, tables whose keys do not sort, and
+malformed blocks, gauges and scalar fields."""
 
+import dataclasses
 import json
 import re
 
@@ -10,7 +12,9 @@ import pytest
 from mtcat import (
     CategoryData,
     FusionRing,
+    GaugeTransform,
     InputError,
+    MtcatError,
     RigidityDegenerate,
     SMatrix,
     dumps,
@@ -19,10 +23,11 @@ from mtcat import (
     make,
     random_gauge,
     rigidity_scalar,
+    run_report,
     validate_symbols,
 )
 from mtcat.cli import main
-from mtcat.io import category_to_dict
+from mtcat.io import category_to_dict, content_hash
 
 import reference_coherence as reference
 
@@ -168,3 +173,78 @@ def test_extra_keys_that_compare_are_sorted(kind, far):
     problems = validate_symbols(data)
     assert [key for _, key, _ in problems] == [(4,) * len(far), far]
     assert problems == reference.validate_symbols(data)
+
+
+# --- malformed blocks, gauges and scalar fields --------------------------------
+
+
+def _block(kind, key, block):
+    """A Fibonacci copy with one block replaced."""
+    def change(fib, ising):
+        data = fib.copy()
+        getattr(data, kind)[key] = block
+        return data
+    return change
+
+
+def _gauge(g):
+    """Ising and a gauge of the one matrix ``g`` on the vertex (1, 1, 2)."""
+    return lambda fib, ising: (ising, GaugeTransform(ising.ring, {(1, 1, 2): g}))
+
+
+F_KEY, R_KEY, F_SHAPE, R_SHAPE = (1,) * 6, (1, 1, 0), (1, 1, 1, 1), (1, 1)
+# each case: how to make it from Fibonacci and Ising, and what it is: a block that is not
+# an array of numbers or not finite, an InputError message at construction, or a gauge
+MALFORMED = {
+    "f_list": (_block("F", F_KEY, [[[[1.0]]]]), "type"),
+    "r_list": (_block("R", R_KEY, [[1.0]]), "type"),
+    "f_strings": (_block("F", F_KEY, np.full(F_SHAPE, "a")), "type"),
+    "r_strings": (_block("R", R_KEY, np.full(R_SHAPE, "a")), "type"),
+    "f_bools": (_block("F", F_KEY, np.ones(F_SHAPE, dtype=bool)), "type"),
+    "f_nan": (_block("F", F_KEY, np.full(F_SHAPE, np.nan, dtype=complex)), "not finite"),
+    "r_nan": (_block("R", R_KEY, np.full(R_SHAPE, np.nan, dtype=complex)), "not finite"),
+    "f_inf": (_block("F", F_KEY, np.full(F_SHAPE, np.inf, dtype=complex)), "not finite"),
+    "r_inf": (_block("R", R_KEY, np.full(R_SHAPE, complex(0, np.inf))), "not finite"),
+    "weights_strings": (lambda fib, ising: dataclasses.replace(fib, weights=["a", "b"]),
+                        "weights must be real numbers, got ['a', 'b']"),
+    "central_charge_string": (lambda fib, ising: dataclasses.replace(fib, central_charge="x"),
+                              "central_charge must be a real number, got 'x'"),
+    "central_charge_complex": (lambda fib, ising: dataclasses.replace(fib, central_charge=1j),
+                               "central_charge must be a real number, got 1j"),
+    "gauge_nan": (_gauge(np.full((1, 1), np.nan)), "gauge matrix on (1,1,2) is not invertible"),
+    "gauge_inf": (_gauge(np.full((1, 1), np.inf)), "gauge matrix on (1,1,2) is not invertible"),
+    "gauge_strings": (_gauge(np.full((1, 1), "a")), "gauge on (1,1,2) is not an array of numbers"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_raises_only_mtcat_errors(fib, ising, case):
+    make_case, expect = MALFORMED[case]
+    if expect not in ("type", "not finite"):  # refused where it is made or used
+        with pytest.raises(InputError, match=re.escape(expect)):
+            data, gauge = make_case(fib, ising)
+            gauge_transform(data, gauge)
+        return
+    data = make_case(fib, ising)
+    kind = "F" if case.startswith("f") else "R"
+    key = F_KEY if kind == "F" else R_KEY
+    problems = validate_symbols(data)
+    assert problems == reference.validate_symbols(data)
+    if expect == "type":
+        assert problems == [(f"type-{kind}", key, "block is not an array of numbers")]
+    else:  # a matrix that is not finite is not invertible
+        matrix = "fusing matrix" if kind == "F" else "braiding block"
+        assert problems == [(f"singular-{kind}", key[:4], f"{matrix} is not invertible")]
+    calls = [run_report, dumps, content_hash, category_to_dict,
+             lambda d: gauge_transform(d, random_gauge(d.ring, 0))]
+    for call in calls:
+        try:
+            with np.errstate(invalid="ignore", over="ignore"):
+                out = call(data)
+        except MtcatError as exc:
+            assert expect == "type" and type(exc) is InputError
+            assert str(exc) == f"{kind} block {key} is not an array of numbers"
+        else:
+            assert expect == "not finite"
+            if call is run_report:
+                assert out["verdict"] == "incoherent"
