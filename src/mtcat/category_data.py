@@ -101,14 +101,21 @@ class CategoryData:
     def __post_init__(self):
         if self.weights is not None:
             try:
+                if np.iscomplexobj(self.weights):  # a float cast drops the imaginary part, warning
+                    raise TypeError
                 self.weights = np.asarray(self.weights, dtype=float)
             except (TypeError, ValueError):
                 raise InputError(f"weights must be real numbers, got {self.weights!r}") from None
             if self.weights.shape != (self.ring.size,):
                 raise InputError("weights must give one value per label")
         c = self.central_charge
-        if c is not None and (isinstance(c, bool) or not isinstance(c, numbers.Real)):
-            raise InputError(f"central_charge must be a real number, got {c!r}")
+        try:  # finite, as the loader reads it
+            bad = c is not None and (isinstance(c, bool) or not isinstance(c, numbers.Real)
+                                     or not math.isfinite(c))
+        except OverflowError:  # an integer beyond the largest float
+            bad = True
+        if bad:
+            raise InputError(f"central_charge must be a finite real number, got {c!r}")
 
     def __setattr__(self, name, value):
         if name in ("F", "R"):  # an unread table waits aside until its first read

@@ -39,7 +39,6 @@ from .category_data import (
     _cached,
     _flat,
     _held,
-    _inverse_unit_checks,
     _key_labels,
     _ring_ok,
     _shape,
@@ -49,10 +48,9 @@ from .category_data import (
 )
 from .errors import InputError, ParseError, SchemaError, ValidationError
 from .fusion_ring import FusionRing, validate_ring
-from .ribbon_modular import COHERENCE_TOL, DET_TOL, check_modular
+from .ribbon_modular import _CHECKS, COHERENCE_TOL, DET_TOL, RIGIDITY_FLOOR, check_modular
 
 SCHEMA_VERSION = 1
-RIGIDITY_FLOOR = 1e-6
 MAX_MULTIPLICITY = 2**31 - 1  # the coherence tables index with int32
 CHECK_NAMES = ("pentagon", "hexagon", "triangle", "ribbon", "rigidity", "modularity")
 _KERNEL_FLOATS = 1500  # a table of fewer floats is written by repr, one by one
@@ -539,9 +537,9 @@ def run_report(data: CategoryData, checks=None, tolerance: float = 1e-9) -> dict
 
     ``checks`` defaults to all of them; a string names one.  Pass/fail per
     check uses ``tolerance``; the overall verdict always comes from the full
-    pipeline with its own pinned thresholds (coherence 1e-7, determinant 1e-8
-    relative), so the verdict is stable under tolerance tweaks.  Non-finite
-    numbers are written as ``null``.
+    pipeline with its own pinned thresholds (coherence 1e-7, S~ margin 1e-8),
+    so the verdict is stable under tolerance tweaks.  Non-finite numbers are
+    written as ``null``.
     """
     if isinstance(tolerance, bool) or not (
         isinstance(tolerance, numbers.Real) and math.isfinite(tolerance) and tolerance > 0
@@ -556,37 +554,23 @@ def run_report(data: CategoryData, checks=None, tolerance: float = 1e-9) -> dict
         if c not in CHECK_NAMES:
             raise InputError(f"unknown check {c!r}; known: {', '.join(CHECK_NAMES)}")
 
-    rep = check_modular(data)  # computes every quantity the report holds
-    entries = {c: _one_check(data, rep, c, tolerance) for c in checks}
-
-    def cplx(z):
-        return [_finite(np.real(z)), _finite(np.imag(z))]
-
-    def cmat(M):
-        return [[cplx(z) for z in row] for row in np.asarray(M)]
-
-    def cvec(v):
-        return [cplx(z) for z in np.asarray(v)]
-
+    rep = check_modular(data)  # computes every number the report holds
     matrices = {
-        "dims": cvec(rep.dims),
-        "fp_dims": [_finite(x) for x in rep.fp_dims],
-        "twists": cvec(rep.twists),
-        "s_tilde": cmat(rep.s_tilde.entries),
-        "s_norm": None if rep.s_norm is None else cmat(rep.s_norm.entries),
-        "t": None if rep.t_diag is None else cvec(rep.t_diag),
+        "dims": _plain(rep.dims),
+        "fp_dims": _plain(rep.fp_dims),
+        "twists": _plain(rep.twists),
+        "s_tilde": _plain(rep.s_tilde.entries),
+        "s_norm": None if rep.s_norm is None else _plain(rep.s_norm.entries),
+        "t": _plain(rep.t_diag),
     }
     report = {
         "schema_version": SCHEMA_VERSION,
         "name": data.name,
-        "checks": entries,
+        "checks": {c: _one_check(rep, c, tolerance) for c in checks},
         "verdict": rep.verdict,
-        "residuals": {k: _finite(v) for k, v in sorted(rep.residuals.items())},
-        "global_dim_sq": _finite(rep.global_dim_sq),
-        "gauss_sums": {
-            "plus": cplx(rep.gauss_sums[0]),
-            "minus": cplx(rep.gauss_sums[1]),
-        },
+        "residuals": {k: _plain(v) for k, v in sorted(rep.residuals.items())},
+        "global_dim_sq": _plain(rep.global_dim_sq),
+        "gauss_sums": {"plus": _plain(rep.gauss_sums[0]), "minus": _plain(rep.gauss_sums[1])},
         "matrices": matrices,
         "provenance": {
             "input_sha256": content_hash(data),
@@ -600,48 +584,26 @@ def run_report(data: CategoryData, checks=None, tolerance: float = 1e-9) -> dict
     return report
 
 
-# the check_modular residuals behind each coherence check
-_RESIDUALS = {
-    "pentagon": ("pentagon",),
-    "hexagon": ("hexagon_braid", "hexagon_inverse"),
-    "triangle": ("triangle",),
-    "ribbon": ("ribbon", "twist_weights"),
-}
-
-
-def _one_check(data, rep, name, tol):
-    if name in _RESIDUALS:
-        # an invalid ring leaves them uncomputed, which fails the check
-        found = [rep.residuals.get(key, float("inf")) for key in _RESIDUALS[name]]
-        return _entry(np.max(found), tol)  # keeps a NaN
+def _one_check(rep, name, tol):
+    """A check's entry, from the numbers ``check_modular`` computed."""
+    if name == "modularity":  # the S~ margin, which decides degenerate: it passes with the verdict
+        return {"residual": rep.s_margin, "threshold": DET_TOL, "pass": rep.verdict == "modular"}
     if name == "rigidity":
-        # a missing or vanishing unit-channel element gives a NaN dimension
-        dims = rep.dims
-        degenerate = not np.isfinite(dims).all() or (abs(dims) >= 1 / RIGIDITY_FLOOR).any()
-        if dims.size == 0 or degenerate:
-            return _entry(float("inf"), tol)
-        # NaN for a singular pairing matrix, possible only for data built in memory
-        return _entry(np.max(_inverse_unit_checks(data)), tol)
-    # modularity: invertibility margin of S~, plus the pipeline verdict
-    s = rep.s_tilde.entries
-    if s.size == 0 or not np.isfinite(s).all():
-        return {"residual": None, "threshold": DET_TOL, "pass": False}
-    sv = np.linalg.svd(s, compute_uv=False)
-    margin = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    return {
-        "residual": margin,  # invertibility margin: pass needs it above threshold
-        "threshold": DET_TOL,
-        "pass": rep.verdict == "modular",
-    }
+        residual = rep.rigidity
+    else:  # an invalid ring leaves the residuals uncomputed, which fails the check
+        residual = float(np.max([rep.residuals.get(key, np.inf) for key in _CHECKS[name]]))
+    return {"residual": _plain(residual), "threshold": tol, "pass": residual < tol}  # NaN fails
 
 
-def _entry(residual, tol):
-    residual = float(residual)
-    return {"residual": _finite(residual), "threshold": tol, "pass": residual < tol}
-
-
-def _finite(x):
-    return float(x) if np.isfinite(x) else None
+def _plain(x):
+    """A number or array as JSON-ready lists, a complex number as [re, im], a non-finite
+    number as None; None stays None."""
+    if x is None:
+        return None
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        x = np.stack([x.real, x.imag], axis=-1)
+    return np.where(np.isfinite(x), x.astype(object), None).tolist()
 
 
 def report_to_json(report: dict) -> str:

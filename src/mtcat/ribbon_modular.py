@@ -19,17 +19,21 @@ from typing import NamedTuple
 import numpy as np
 
 from .category_data import (_RIGIDITY_TOL, CategoryData, _cached, _check_commutative, _coherence,
-                            _flat, _held, _ring_ok, _stacking, _unit_elements, rigidity_scalar)
+                            _flat, _held, _inverse_unit_checks, _ring_ok, _stacking,
+                            _unit_elements, rigidity_scalar)
 from .errors import InputError, WeightsInconsistent
 from .fusion_ring import SMatrix, fp_dimensions
 
 COHERENCE_TOL = 1e-7  # verdict threshold; loose enough for level-8 accumulation
-DET_TOL = 1e-8  # determinant threshold, relative to the matrix scale
+DET_TOL = 1e-8  # nondegeneracy threshold of sigma_min / sigma_max of S~
+RIGIDITY_FLOOR = 1e-6  # a dimension of modulus 1 / RIGIDITY_FLOOR or more fails rigidity
 _TWIST_TOL = 1e-9  # ``twist`` raises when |theta_a - exp(2 i pi h_a)| reaches this
-# the residuals that decide coherence; the first four come from category_data._coherence,
-# coherence_summary without its witnesses
-_COHERENCE = ("pentagon", "hexagon_braid", "hexagon_inverse", "triangle", "ribbon",
-              "twist_weights")
+# each coherence check of a report and the residuals it reads; together they decide
+# coherence, and the first four come from category_data._coherence, coherence_summary
+# without its witnesses
+_CHECKS = {"pentagon": ("pentagon",), "hexagon": ("hexagon_braid", "hexagon_inverse"),
+           "triangle": ("triangle",), "ribbon": ("ribbon", "twist_weights")}
+_COHERENCE = sum(_CHECKS.values(), ())
 
 
 def quantum_dimension(data: CategoryData, a) -> complex:
@@ -178,6 +182,15 @@ def _t_diag(th: np.ndarray, central_charge: float) -> np.ndarray:
     return th * np.exp(-2j * np.pi * central_charge / 24.0)
 
 
+def _s_margin(s_tilde: np.ndarray) -> float | None:
+    """sigma_min / sigma_max of S~, a scale-free margin of invertibility; None when S~ is empty
+    or not finite."""
+    if not (s_tilde.size and np.isfinite(s_tilde).all()):
+        return None
+    sv = np.linalg.svd(s_tilde, compute_uv=False)
+    return float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
+
+
 @dataclass
 class ModularReport:
     """Everything check_modular computes, plus the verdict."""
@@ -191,6 +204,8 @@ class ModularReport:
     t_diag: np.ndarray | None
     global_dim_sq: float
     gauss_sums: tuple[complex, complex]
+    s_margin: float | None  # sigma_min / sigma_max of S~; None when empty or not finite
+    rigidity: float  # the largest inverse-unit gap; inf without usable dimensions
     residuals: dict = field(default_factory=dict)
 
     @property
@@ -203,11 +218,12 @@ def check_modular(data: CategoryData) -> ModularReport:
 
     The verdict is ``incoherent`` when any coherence residual (ring
     validation counts as one) reaches ``COHERENCE_TOL``; otherwise
-    ``degenerate`` when det(S~) vanishes relative to the matrix scale;
-    otherwise ``modular``.  When modular and a central charge is present,
-    the S/T relations are evaluated and recorded as residuals (they inform
-    the report, not the verdict).  An invalid ring leaves every derived
-    array empty.
+    ``degenerate`` when the margin sigma_min / sigma_max of S~ is below
+    ``DET_TOL``; otherwise ``modular``.  When modular and a central charge is
+    present, the S/T relations are evaluated and recorded as residuals (they
+    inform the report, not the verdict).  Every number a report's checks print
+    is computed here, the margin and the rigidity gap included.  An invalid
+    ring leaves every derived array empty.
     """
     ring = data.ring
     m = ring.size
@@ -218,6 +234,7 @@ def check_modular(data: CategoryData) -> ModularReport:
     s_norm = t_diag = None
     dim_sq = 0j
     gauss_sums = (0j, 0j)
+    rigidity = float("inf")
 
     if residuals["ring"] == 0.0:
         summary = _coherence(data)
@@ -230,7 +247,12 @@ def check_modular(data: CategoryData) -> ModularReport:
         s_tilde = derived.s_tilde
         dim_sq = complex(np.sum(dims**2))
         coherent = all(residuals[key] < COHERENCE_TOL for key in _COHERENCE)
+        # a missing or vanishing unit-channel element gives a NaN dimension
+        if np.isfinite(dims).all() and (abs(dims) < 1 / RIGIDITY_FLOOR).all():
+            # NaN for a singular pairing matrix, possible only for data built in memory
+            rigidity = float(np.max(_inverse_unit_checks(data)))
 
+    s_margin = _s_margin(s_tilde)
     verdict = "modular" if coherent else "incoherent"
     if coherent:
         residuals["smatrix_two_route"] = float(
@@ -241,8 +263,7 @@ def check_modular(data: CategoryData) -> ModularReport:
         p_minus = complex(np.sum(dims**2 / th))
         gauss_sums = (p_plus, p_minus)
         t = None if data.central_charge is None else _t_diag(th, data.central_charge)
-        scale = (np.linalg.norm(s_tilde) / np.sqrt(m)) ** m
-        if abs(np.linalg.det(s_tilde)) < DET_TOL * max(scale, 1e-300):
+        if s_margin is None or s_margin < DET_TOL:
             verdict, t_diag = "degenerate", t
         elif abs(dim_sq.imag) > 1e-9 * max(abs(dim_sq), 1.0) or dim_sq.real <= 0:
             residuals["global_dim_positive"] = float("inf")
@@ -283,5 +304,7 @@ def check_modular(data: CategoryData) -> ModularReport:
         t_diag=t_diag,
         global_dim_sq=float(dim_sq.real),
         gauss_sums=gauss_sums,
+        s_margin=s_margin,
+        rigidity=rigidity,
         residuals=residuals,
     )

@@ -207,10 +207,18 @@ MALFORMED = {
     "r_inf": (_block("R", R_KEY, np.full(R_SHAPE, complex(0, np.inf))), "not finite"),
     "weights_strings": (lambda fib, ising: dataclasses.replace(fib, weights=["a", "b"]),
                         "weights must be real numbers, got ['a', 'b']"),
+    "weights_complex": (lambda fib, ising: dataclasses.replace(fib, weights=np.array([0, 0.4j])),
+                        "weights must be real numbers, got array(["),
     "central_charge_string": (lambda fib, ising: dataclasses.replace(fib, central_charge="x"),
-                              "central_charge must be a real number, got 'x'"),
+                              "central_charge must be a finite real number, got 'x'"),
     "central_charge_complex": (lambda fib, ising: dataclasses.replace(fib, central_charge=1j),
-                               "central_charge must be a real number, got 1j"),
+                               "central_charge must be a finite real number, got 1j"),
+    "central_charge_nan": (lambda fib, ising: dataclasses.replace(fib, central_charge=np.nan),
+                           "central_charge must be a finite real number, got nan"),
+    "central_charge_inf": (lambda fib, ising: dataclasses.replace(fib, central_charge=np.inf),
+                           "central_charge must be a finite real number, got inf"),
+    "central_charge_huge": (lambda fib, ising: dataclasses.replace(fib, central_charge=10**400),
+                            "central_charge must be a finite real number, got 1000"),
     "gauge_nan": (_gauge(np.full((1, 1), np.nan)), "gauge matrix on (1,1,2) is not invertible"),
     "gauge_inf": (_gauge(np.full((1, 1), np.inf)), "gauge matrix on (1,1,2) is not invertible"),
     "gauge_strings": (_gauge(np.full((1, 1), "a")), "gauge on (1,1,2) is not an array of numbers"),

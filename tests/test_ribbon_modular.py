@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,14 @@ from mtcat import (
     InputError,
     WeightsInconsistent,
     check_modular,
+    gauge_transform,
     make,
     monodromy,
     quantum_dimension,
     quantum_dimensions,
+    random_gauge,
     ribbon_residual,
+    run_report,
     s_matrix_balanced,
     s_matrix_unnormalized,
     t_matrix,
@@ -17,9 +22,10 @@ from mtcat import (
     verlinde_coefficients,
 )
 from mtcat.fusion_ring import fp_dimensions
+from mtcat.ribbon_modular import DET_TOL, _s_margin
 
 import reference_coherence as reference
-from conftest import bump_one_f_and_one_r, random_rep_a4_data
+from conftest import CATALOG, bump_one_f_and_one_r, random_rep_a4_data
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -201,6 +207,31 @@ def test_verdicts(catalog):
         assert check_modular(catalog[name]).verdict == "modular", name
     assert check_modular(make("pointed_zn", n=2, q_exponent=0)).verdict == "degenerate"
     assert check_modular(make("pointed_zn", n=2, q_exponent=2)).verdict == "degenerate"
+
+
+def test_nondegeneracy_margin_at_rank_169():
+    # the size of S~ for su(2)_12 x su(2)_12: rank 169 and |S~| / sqrt(m) = D = 141, where a
+    # determinant and a scale of |S~| / sqrt(m) to the power m both overflow
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((169, 169)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        margin = _s_margin(141 * q)
+    assert margin == pytest.approx(1, abs=1e-12) and margin >= DET_TOL
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in CATALOG] + ["pointed_z4_q2"])
+def test_modularity_entry_is_the_verdict(catalog, name):
+    # the report's modularity entry passes exactly for modular data, and for coherent data
+    # that is the S~ margin at DET_TOL or above
+    base = catalog.get(name) or make("pointed_zn", n=4, q_exponent=2)
+    for data in (base, gauge_transform(base, random_gauge(base.ring, 0)),
+                 bump_one_f_and_one_r(base)):
+        report = run_report(data)
+        entry = report["checks"]["modularity"]
+        assert entry["pass"] == (report["verdict"] == "modular")
+        if report["verdict"] != "incoherent":
+            assert entry["pass"] == (entry["residual"] >= DET_TOL)
+    assert run_report(base)["verdict"] == ("degenerate" if name == "pointed_z4_q2" else "modular")
 
 
 def test_incoherent_verdict(fib):
