@@ -99,13 +99,19 @@ class CategoryData:
     name: str = ""
 
     def __post_init__(self):
-        if self.weights is not None:
+        weights = self.weights
+        if weights is not None:
             try:
-                if np.iscomplexobj(self.weights):  # a float cast drops the imaginary part, warning
+                if np.iscomplexobj(weights):  # a float cast drops the imaginary part, warning
                     raise TypeError
-                self.weights = np.asarray(self.weights, dtype=float)
+                self.weights = np.asarray(weights, dtype=float)
+                finite = np.isfinite(self.weights).all()
             except (TypeError, ValueError):
-                raise InputError(f"weights must be real numbers, got {self.weights!r}") from None
+                raise InputError(f"weights must be real numbers, got {weights!r}") from None
+            except OverflowError:  # an integer beyond the largest float
+                finite = False
+            if not finite:  # as the loader reads them
+                raise InputError(f"weights must be finite real numbers, got {weights!r}")
             if self.weights.shape != (self.ring.size,):
                 raise InputError("weights must give one value per label")
         c = self.central_charge
@@ -170,21 +176,28 @@ def validate_symbols(data: CategoryData) -> list[tuple]:
         problems += _key_problems(data.F, stacking.admissible, "F")
         problems += filter(None, (_block_problem("F", key, data.F[key], shape) for key, shape
                                   in zip(stacking.admissible, stacking.shapes) if key in data.F))
-    stacking = _stacking(ring, "R")
-    problems += _key_problems(data.R, stacking.admissible, "R")
-    present = [(k, shape) for k, shape in zip(stacking.admissible, stacking.shapes) if k in data.R]
-    square = [k for k, shape in present if _shape(data.R[k]) == shape and shape[0] == shape[1]]
-    singular_r = set()
-    for shape in {data.R[k].shape for k in square}:  # one SVD call per block shape
-        group = [k for k in square if data.R[k].shape == shape]
-        stack = np.stack([data.R[k] for k in group])
-        singular_r.update(compress(group, _singular(stack)))
-    for key, shape in present:
-        problem = _block_problem("R", key, data.R[key], shape)
-        if problem:
-            problems.append(problem)
-        elif key in singular_r:
-            problems.append(("singular-R", key, "braiding block is not invertible"))
+    stacking, table = _stacking(ring, "R"), _held(data, "R")
+    if _stacked_on(ring, table, "R"):  # every key, of its shape: read through its stacks
+        singular = itertools.chain.from_iterable(
+            x[_singular(stack)].tolist() for (shape, _, _, x), stack
+            in zip(stacking.groups, table.stacks) if shape[0] == shape[1])
+        problems += [("singular-R", stacking.admissible[i], "braiding block is not invertible")
+                     for i in sorted(singular)]
+    else:
+        problems += _key_problems(table, stacking.admissible, "R")
+        present = [(k, shape) for k, shape in zip(stacking.admissible, stacking.shapes)
+                   if k in table]
+        square = [k for k, shape in present if _shape(table[k]) == shape and shape[0] == shape[1]]
+        singular_r = set()
+        for shape in {table[k].shape for k in square}:  # one SVD call per block shape
+            group = [k for k in square if table[k].shape == shape]
+            singular_r.update(compress(group, _singular(np.stack([table[k] for k in group]))))
+        for key, shape in present:
+            problem = _block_problem("R", key, table[key], shape)
+            if problem:
+                problems.append(problem)
+            elif key in singular_r:
+                problems.append(("singular-R", key, "braiding block is not invertible"))
     if not problems:
         singular_f = []  # raveled (a,b,c,d)
         for abcd, mats in _fusing_matrices(ring, _f_values(data)):
@@ -1201,7 +1214,8 @@ class _Stacking:
     """One stack per block shape, in sorted order, of its blocks in admissible-key order:
     ``admissible`` keys, their ``shapes``, the ``keys`` in stack order; per stack (``groups``)
     the shape, the slot of each block's vertex per vertex of ``_BLOCK_VERTICES``, the
-    ``_Layout`` offset of each entry and each block's place among the admissible keys; where
+    ``_Layout`` offset of each entry and each block's place among the admissible keys; the
+    offset of each block's first entry (``start``), in admissible-key order; where
     each entry in ``_Layout`` order is among the stacked ones, or those of the inverse R blocks
     (``order``, ``inverse_order``; None: in place); R[y,x,z]'s offset per R[x,y,z] (``swapped``)."""
 
@@ -1218,7 +1232,7 @@ class _Stacking:
                  for shape in shapes]
         self.keys = list(map(keys.__getitem__, itertools.chain(*(x.tolist() for x in picks))))
         size = np.prod(dims, axis=0)
-        start = np.cumsum(size) - size  # of every block, in _Layout order
+        self.start = start = np.cumsum(size) - size  # of every block, in _Layout order
 
         def entries(first):  # per stack, the offset of every entry when block i starts at first[i]
             return [first[x, None] + np.arange(math.prod(shape)) for x, shape in zip(picks, shapes)]

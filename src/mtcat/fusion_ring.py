@@ -15,7 +15,8 @@ import numpy as np
 from .errors import ComputationError, DegenerateSMatrix, InputError
 
 UNIT = 0
-_GUARD_TOL = 1e-12  # smallest |det S| and |S[e,x]| that verlinde_coefficients divides by
+DET_TOL = 1e-8  # nondegeneracy threshold of sigma_min / sigma_max of an S-matrix
+_GUARD_TOL = 1e-12  # smallest |S[e,x]| that verlinde_coefficients divides by
 
 
 @dataclass(frozen=True)
@@ -146,6 +147,16 @@ class SMatrix:
         return self.entries.shape[0]
 
 
+def _s_margin(s: np.ndarray) -> float | None:
+    """sigma_min / sigma_max of an S-matrix, a scale-free margin of invertibility; None when it
+    is empty or not finite.  Below ``DET_TOL``, S is singular: ``check_modular`` calls coherent
+    data degenerate and ``verlinde_coefficients`` refuses it."""
+    if not (s.size and np.isfinite(s).all()):
+        return None
+    sv = np.linalg.svd(s, compute_uv=False)
+    return float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
+
+
 def validate_ring(ring: FusionRing) -> ValidationReport:
     """Check every ring invariant; violations are data, not exceptions."""
     report = ValidationReport()
@@ -239,12 +250,18 @@ def verlinde_coefficients(S: SMatrix) -> VerlindeResult:
     """Recover N'[a,b,c] = sum_x S[a,x] S[b,x] conj(S[c,x]) / S[e,x].
 
     Requires the normalized S-matrix; the tag is checked so an unnormalized
-    matrix cannot be used silently.
+    matrix cannot be used silently.  S must be finite and non-empty (else InputError) and
+    is singular when its margin sigma_min / sigma_max is below ``DET_TOL``, the rule of
+    ``check_modular``; ``|S[e,x]|`` below ``_GUARD_TOL`` is not divided by.  Either raises
+    DegenerateSMatrix.
     """
     if S.normalization != "normalized":
         raise InputError("fusion-coefficient formula requires the normalized S-matrix")
     s = S.entries
-    if abs(np.linalg.det(s)) < _GUARD_TOL:
+    margin = _s_margin(s)
+    if margin is None:
+        raise InputError("S-matrix must be non-empty with finite entries")
+    if margin < DET_TOL:
         raise DegenerateSMatrix("S-matrix is singular; cannot diagonalize fusion rules")
     row = s[UNIT]
     if np.abs(row).min() < _GUARD_TOL:

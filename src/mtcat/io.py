@@ -40,6 +40,7 @@ from .category_data import (
     _flat,
     _held,
     _key_labels,
+    _layout,
     _ring_ok,
     _shape,
     _stacked,
@@ -392,11 +393,14 @@ def _check_range(indices, m, where):
 _TABLES = {"f_symbols": _BLOCK_VERTICES["F"], "r_symbols": _BLOCK_VERTICES["R"]}
 
 
-def _symbol_table(doc, where: str, ring: FusionRing) -> dict:
-    """The F or R blocks of ``doc[where]``, checked and gathered without a step per row.
+def _symbol_table(doc, where: str, ring: FusionRing):
+    """The F or R table of ``doc[where]``, checked and placed without a step per row.
 
-    Blocks are in the order their keys first appear; each is a view of the
-    stack of all blocks of its shape, and a table of every admissible key is stacked.
+    A row's labels and 0-based multiplicity indices give its offset in the ring's ``_Layout``
+    (R counted from its first entry); the first row of an offset leads, a later one is a
+    duplicate.  A table of every admissible key is unread, its stacks taken from the placed
+    entries as ``_Stacking`` lays them out; any other is a dict of slices of them.  Either
+    way its keys are in the order they first appear.
     """
     rows = _expect(doc, where, list)
     n_key, vertices = _TABLES[where]
@@ -407,48 +411,39 @@ def _symbol_table(doc, where: str, ring: FusionRing) -> dict:
     labels = np.where(in_range, labels, 0)  # keeps the look-ups in bounds; the row is flagged
     shape = np.stack([N[labels[i], labels[j], labels[k]] for i, j, k in vertices])
     ok = in_range & ((mults >= 0) & (mults < shape)).all(axis=0)  # no index fits an empty range
-    key, pos = labels[0], mults[0]  # raveled label tuple, and entry within its block
-    for i in range(1, n_key):
-        key = key * m + labels[i]
-    for i in range(1, len(vertices)):
-        pos = pos * shape[i] + mults[i]
-    order = np.flatnonzero(ok)
-    order = order[np.lexsort((pos[order], key[order]))]  # stable: the first of equal rows leads
-    repeat = (key[order][1:] == key[order][:-1]) & (pos[order][1:] == pos[order][:-1])
-    duplicate = np.zeros(len(ok), dtype=bool)
-    duplicate[order[1:][repeat]] = True
-    first = _first(~ok | duplicate | ~finite)  # len(ok) when only a row after those is bad
-    if first < len(rows):
-        _raise_row_error(where, rows[first], ring, first < len(ok) and duplicate[first])
-    if not len(order):
+    at, names = np.flatnonzero(ok), "abcdef"[:n_key]
+    t = dict(zip(names, labels[:, at]))
+    t.update(("".join(names[i] for i in v), x) for v, x in zip(vertices, mults[:, at]))
+    lay, kind = _layout(ring), where[0].upper()
+    offset = lay.f(t, names) if kind == "F" else lay.r(t, names) - lay.f_size
+    _, lead = np.unique(offset, return_index=True)  # the first row of each offset
+    duplicate = ok.copy()
+    duplicate[at[lead]] = False
+    bad = _first(~ok | duplicate | ~finite)  # len(ok) when only a row after those is bad
+    if bad < len(rows):
+        _raise_row_error(where, rows[bad], ring, bad < len(ok) and duplicate[bad])
+    if not len(at):
         return {}
 
-    # every row is a distinct entry of an admissible block: sorted, the blocks lie end to end
-    key = key[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    first_row = np.minimum.reduceat(order, starts)
-    shapes = shape[:, order[starts]]
-    sizes = shapes.prod(axis=0)
-    partial = np.flatnonzero(np.diff(np.r_[starts, len(order)]) != sizes)
+    stacking = _stacking(ring, kind)
+    flat = np.empty(lay.f_size if kind == "F" else lay.size - lay.f_size, dtype=complex)
+    flat[offset] = values[at]
+    size = np.diff(stacking.start, append=flat.size)  # entries per block
+    block = np.searchsorted(stacking.start, offset, side="right") - 1
+    present, first, count = np.unique(block, return_index=True, return_counts=True)
+    partial = np.flatnonzero(count != size[present])
     if len(partial):
-        g = partial[np.argmin(first_row[partial])]
-        bad = tuple(ints[:n_key, order[starts[g]]].tolist())
-        raise SchemaError(f"{where} block {bad} is only partially specified")
-    groups, stacks = [], []
-    for block_shape in sorted(set(map(tuple, shapes.T.tolist()))):
-        g = np.flatnonzero((shapes == np.array(block_shape)[:, None]).all(axis=0))
-        gather = order[starts[g][:, None] + np.arange(sizes[g[0]])]
-        groups.append(g)
-        stacks.append(np.take(values, gather).reshape(len(g), *block_shape))
-    groups = np.concatenate(groups)
-    keys = list(map(tuple, ints[:n_key, order[starts[groups]]].T.tolist()))
-    in_file = list(map(keys.__getitem__, np.argsort(first_row[groups]).tolist()))
-    kind = where[0].upper()
-    if len(keys) == len(_stacking(ring, kind).admissible):  # ordered as stacks are
-        return _stacked(ring, kind, in_file, stacks)
-    table = dict.fromkeys(in_file)
-    table.update(zip(keys, itertools.chain.from_iterable(stacks)))  # views of the stacks
-    return table
+        key = stacking.admissible[present[partial[np.argmin(first[partial])]]]
+        raise SchemaError(f"{where} block {key} is only partially specified")
+    in_file = present[np.argsort(first)].tolist()
+    keys = list(map(stacking.admissible.__getitem__, in_file))
+    if len(keys) == len(stacking.admissible):
+        stacks = [np.take(flat, offsets).reshape(len(x), *block_shape)
+                  for block_shape, _, offsets, x in stacking.groups]
+        return _stacked(ring, kind, keys, stacks)
+    start = stacking.start[in_file].tolist()
+    return {key: flat[i : i + n].reshape(stacking.shapes[x])
+            for key, i, n, x in zip(keys, start, size[in_file].tolist(), in_file)}
 
 
 def _columns(rows: list, n_int: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -22,10 +22,9 @@ from .category_data import (_RIGIDITY_TOL, CategoryData, _cached, _check_commuta
                             _flat, _held, _inverse_unit_checks, _ring_ok, _stacking,
                             _unit_elements, rigidity_scalar)
 from .errors import InputError, WeightsInconsistent
-from .fusion_ring import SMatrix, fp_dimensions
+from .fusion_ring import DET_TOL, SMatrix, _s_margin, fp_dimensions
 
 COHERENCE_TOL = 1e-7  # verdict threshold; loose enough for level-8 accumulation
-DET_TOL = 1e-8  # nondegeneracy threshold of sigma_min / sigma_max of S~
 RIGIDITY_FLOOR = 1e-6  # a dimension of modulus 1 / RIGIDITY_FLOOR or more fails rigidity
 _TWIST_TOL = 1e-9  # ``twist`` raises when |theta_a - exp(2 i pi h_a)| reaches this
 # each coherence check of a report and the residuals it reads; together they decide
@@ -180,15 +179,6 @@ def t_matrix(data: CategoryData) -> np.ndarray:
 
 def _t_diag(th: np.ndarray, central_charge: float) -> np.ndarray:
     return th * np.exp(-2j * np.pi * central_charge / 24.0)
-
-
-def _s_margin(s_tilde: np.ndarray) -> float | None:
-    """sigma_min / sigma_max of S~, a scale-free margin of invertibility; None when S~ is empty
-    or not finite."""
-    if not (s_tilde.size and np.isfinite(s_tilde).all()):
-        return None
-    sv = np.linalg.svd(s_tilde, compute_uv=False)
-    return float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
 
 
 @dataclass

@@ -209,6 +209,12 @@ MALFORMED = {
                         "weights must be real numbers, got ['a', 'b']"),
     "weights_complex": (lambda fib, ising: dataclasses.replace(fib, weights=np.array([0, 0.4j])),
                         "weights must be real numbers, got array(["),
+    "weights_nan": (lambda fib, ising: dataclasses.replace(fib, weights=np.array([0, np.nan])),
+                    "weights must be finite real numbers, got array([ 0., nan])"),
+    "weights_inf": (lambda fib, ising: dataclasses.replace(fib, weights=np.array([0, np.inf])),
+                    "weights must be finite real numbers, got array([ 0., inf])"),
+    "weights_huge": (lambda fib, ising: dataclasses.replace(fib, weights=[0, 10**400]),
+                     "weights must be finite real numbers, got [0, 1000"),
     "central_charge_string": (lambda fib, ising: dataclasses.replace(fib, central_charge="x"),
                               "central_charge must be a finite real number, got 'x'"),
     "central_charge_complex": (lambda fib, ising: dataclasses.replace(fib, central_charge=1j),

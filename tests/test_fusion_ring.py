@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,25 @@ def test_verlinde_division_guard():
     S = SMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), "normalized")
     with pytest.raises(DegenerateSMatrix):
         verlinde_coefficients(S)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_verlinde_refuses_a_non_finite_matrix(fib, bad):
+    s = check_modular(fib).s_norm.entries.copy()
+    s[1, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InputError, match="S-matrix must be non-empty with finite entries"):
+            verlinde_coefficients(SMatrix(s, "normalized"))
+
+
+def test_verlinde_singularity_is_scale_free(fib):
+    # margin 1, determinant about 1e-14: singular by the margin rule of check_modular, never
+    s = 1e-7 * check_modular(fib).s_norm.entries
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = verlinde_coefficients(SMatrix(s, "normalized"))
+    assert np.allclose(out.raw, 1e-14 * fib.ring.N, rtol=0, atol=1e-26)
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "ising"])

@@ -114,7 +114,7 @@ def test_other_names_raise_attribute_error():
 def test_a_report_on_loaded_data_reads_no_f(level):
     loaded = loads(dumps(make("su2_level", level=level)))
     run_report(loaded)
-    assert _unread_kinds(loaded) == {"F"}
+    assert _unread_kinds(loaded) == {"F", "R"}
 
 
 def test_threads_that_read_first_get_one_table():
